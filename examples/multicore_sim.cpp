@@ -194,7 +194,13 @@ specByName(const std::string &name)
 std::string
 coreLabel(unsigned core, const CoreResult &cr)
 {
-    return "c" + std::to_string(core) + ":" + cr.workload;
+    // Appended piecewise: "c" + std::to_string(...) trips GCC 12's
+    // -Wrestrict false positive in the inlined string insert.
+    std::string label = "c";
+    label += std::to_string(core);
+    label += ':';
+    label += cr.workload;
+    return label;
 }
 
 telemetry::RunReport

@@ -91,6 +91,24 @@ dgipprSpec(std::vector<Ipv> ipvs, unsigned leaders,
     return s;
 }
 
+std::vector<Ipv>
+effectiveIpvs(const ReplaySpec &spec, unsigned ways)
+{
+    switch (spec.kind) {
+      case FastPolicyKind::Lru:
+        return {Ipv::lru(ways)};
+      case FastPolicyKind::Lip:
+        return {Ipv::lruInsertion(ways)};
+      case FastPolicyKind::Plru:
+        return {}; // promote-to-MRU needs no vector
+      case FastPolicyKind::Giplr:
+      case FastPolicyKind::Gippr:
+      case FastPolicyKind::Dgippr:
+        return spec.ipvs;
+    }
+    return {};
+}
+
 CounterBank &
 CounterBank::operator+=(const CounterBank &o)
 {

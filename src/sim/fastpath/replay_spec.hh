@@ -67,6 +67,31 @@ ReplaySpec gipprSpec(Ipv ipv);
 ReplaySpec dgipprSpec(std::vector<Ipv> ipvs, unsigned leaders = 32,
                       unsigned counter_bits = 11);
 
+/**
+ * Promotion/insertion vectors @p spec's policy family applies at
+ * @p ways ways: Lru/Lip synthesize their fixed vectors, Plru needs
+ * none, the IPV families use the spec's own.  SoaCacheModel and the
+ * scalar shared-LLC reference both build their tables from this.
+ */
+std::vector<Ipv> effectiveIpvs(const ReplaySpec &spec, unsigned ways);
+
+/** Where Dgippr duel bookkeeping lives in a shared (multi-core) LLC. */
+enum class DuelScope
+{
+    Global,  ///< one tournament over all cores (single-core semantics)
+    PerCore, ///< per-core leader tables, selectors and winners
+};
+
+/**
+ * Rotation stride between per-core leader-set tables (PerCore scope):
+ * core c's table is the base LeaderSets map evaluated at
+ * (set + c * kLeaderSetRotate) mod sets.  Any odd constant
+ * decorrelates the cores' sampled sets; core 0's rotation is zero so
+ * a 1-core PerCore run matches the Global (and single-core) tables
+ * exactly.  Both shared-LLC backends must use this same constant.
+ */
+constexpr uint64_t kLeaderSetRotate = 97;
+
 /** One bank of hit/miss counters (no bypasses: none of the seven
  *  core policies ever bypasses). */
 struct CounterBank

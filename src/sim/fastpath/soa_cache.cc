@@ -15,30 +15,6 @@
 namespace gippr::fastpath
 {
 
-namespace
-{
-
-/** Promotion rows / insertion positions for the spec's vectors. */
-std::vector<Ipv>
-effectiveIpvs(const ReplaySpec &spec, unsigned ways)
-{
-    switch (spec.kind) {
-      case FastPolicyKind::Lru:
-        return {Ipv::lru(ways)};
-      case FastPolicyKind::Lip:
-        return {Ipv::lruInsertion(ways)};
-      case FastPolicyKind::Plru:
-        return {}; // promote-to-MRU needs no vector
-      case FastPolicyKind::Giplr:
-      case FastPolicyKind::Gippr:
-      case FastPolicyKind::Dgippr:
-        return spec.ipvs;
-    }
-    return {};
-}
-
-} // namespace
-
 std::shared_ptr<const TreeTables>
 TreeTables::forAssoc(unsigned assoc)
 {
@@ -122,7 +98,8 @@ SoaCacheModel::SoaCacheModel(const ReplaySpec &spec,
       wayMask_(config.assoc == 64 ? ~uint64_t{0}
                                   : (uint64_t{1} << config.assoc) - 1),
       mode_(mode),
-      // Non-duel specs get degenerate dueling state (never consulted).
+      // Non-duel specs get degenerate dueling state (never consulted);
+      // its PSEL width is the narrowest DuelCounter accepts (2 bits).
       leaders_(config.sets(),
                spec.kind == FastPolicyKind::Dgippr
                    ? static_cast<unsigned>(spec.ipvs.size())
@@ -132,11 +109,15 @@ SoaCacheModel::SoaCacheModel(const ReplaySpec &spec,
                                   static_cast<unsigned>(spec.ipvs.size()),
                                   spec.leaders)
                    : 1),
-      selector_(spec.kind == FastPolicyKind::Dgippr
-                    ? static_cast<unsigned>(spec.ipvs.size())
-                    : 2,
-                spec.kind == FastPolicyKind::Dgippr ? spec.counterBits
-                                                    : 1)
+      domain_{{},
+              TournamentSelector(
+                  spec.kind == FastPolicyKind::Dgippr
+                      ? static_cast<unsigned>(spec.ipvs.size())
+                      : 2,
+                  spec.kind == FastPolicyKind::Dgippr ? spec.counterBits
+                                                      : 2),
+              0,
+              {}}
 {
     GIPPR_CHECK(supports(spec, config));
     switch (spec.kind) {
@@ -227,24 +208,32 @@ SoaCacheModel::SoaCacheModel(const ReplaySpec &spec,
         }
     }
     if (duel_) {
-        winner_ = selector_.winner();
-        leaderMisses_.assign(promo_.size(), 0);
-        owners_.resize(sets_);
+        domain_.winner = domain_.selector.winner();
+        domain_.leaderMisses.assign(promo_.size(), 0);
+        domain_.owners.resize(sets_);
         for (uint64_t s = 0; s < sets_; ++s)
-            owners_[s] = static_cast<int8_t>(leaders_.owner(s));
+            domain_.owners[s] = static_cast<int8_t>(leaders_.owner(s));
     }
 }
 
-uint64_t
-SoaCacheModel::setIndex(uint64_t byte_addr) const
+SoaCacheModel::SoaCacheModel(const ReplaySpec &spec,
+                             const CacheConfig &config, unsigned cores,
+                             DuelScope scope)
+    : SoaCacheModel(spec, config)
 {
-    return (byte_addr >> blockShift_) & (sets_ - 1);
-}
-
-uint64_t
-SoaCacheModel::tagOf(uint64_t byte_addr) const
-{
-    return byte_addr >> (blockShift_ + setShift_);
+    GIPPR_CHECK(cores >= 1);
+    coreCounters_.assign(cores, {});
+    coreWarmupBase_.assign(cores, {});
+    masks_.assign(cores, wayMask_);
+    if (duel_ && scope == DuelScope::PerCore) {
+        // Core 0's rotation is the identity, so its domain starts as
+        // an exact copy of the model's own tournament.
+        coreDomains_.assign(cores, domain_);
+        for (unsigned c = 1; c < cores; ++c)
+            for (uint64_t s = 0; s < sets_; ++s)
+                coreDomains_[c].owners[s] = static_cast<int8_t>(
+                    leaders_.owner((s + c * kLeaderSetRotate) % sets_));
+    }
 }
 
 int
@@ -258,31 +247,67 @@ SoaCacheModel::setWinner(unsigned w)
 {
     GIPPR_DCHECK(duel_ && mode_ == DuelMode::Timeline);
     GIPPR_DCHECK(w < promo_.size());
-    winner_ = w;
+    domain_.winner = w;
+}
+
+void
+SoaCacheModel::markWarmup(unsigned core)
+{
+    coreWarmupBase_[core] = coreCounters_[core];
+}
+
+void
+SoaCacheModel::setWayMask(unsigned core, uint64_t mask)
+{
+    GIPPR_CHECK(core < masks_.size());
+    GIPPR_CHECK(mask != 0 && (mask & ~wayMask_) == 0);
+    masks_[core] = mask;
+    partitioned_ = false;
+    for (uint64_t m : masks_)
+        partitioned_ |= m != wayMask_;
+}
+
+ReplayStats
+SoaCacheModel::statsOf(const CounterBank &counters,
+                       const CounterBank &warmup_base,
+                       const DuelDomain *domain)
+{
+    ReplayStats s;
+    s.total = counters;
+    s.total.misses = counters.accesses - counters.hits;
+    s.measured.accesses = counters.accesses - warmup_base.accesses;
+    s.measured.hits = counters.hits - warmup_base.hits;
+    s.measured.misses = s.measured.accesses - s.measured.hits;
+    s.measured.evictions = counters.evictions - warmup_base.evictions;
+    s.measured.writebacks =
+        counters.writebacks - warmup_base.writebacks;
+    s.measured.demandAccesses =
+        counters.demandAccesses - warmup_base.demandAccesses;
+    s.measured.demandMisses =
+        counters.demandMisses - warmup_base.demandMisses;
+    if (domain != nullptr) {
+        s.finalWinner = domain->selector.winner();
+        s.duelCounters = domain->selector.counterValues();
+        s.leaderMisses = domain->leaderMisses;
+    }
+    return s;
 }
 
 ReplayStats
 SoaCacheModel::stats() const
 {
-    ReplayStats s;
-    s.total = counters_;
-    s.total.misses = counters_.accesses - counters_.hits;
-    s.measured.accesses = counters_.accesses - warmupBase_.accesses;
-    s.measured.hits = counters_.hits - warmupBase_.hits;
-    s.measured.misses = s.measured.accesses - s.measured.hits;
-    s.measured.evictions = counters_.evictions - warmupBase_.evictions;
-    s.measured.writebacks =
-        counters_.writebacks - warmupBase_.writebacks;
-    s.measured.demandAccesses =
-        counters_.demandAccesses - warmupBase_.demandAccesses;
-    s.measured.demandMisses =
-        counters_.demandMisses - warmupBase_.demandMisses;
-    if (duel_ && mode_ == DuelMode::Live) {
-        s.finalWinner = selector_.winner();
-        s.duelCounters = selector_.counterValues();
-        s.leaderMisses = leaderMisses_;
-    }
-    return s;
+    return statsOf(counters_, warmupBase_,
+                   duel_ && mode_ == DuelMode::Live ? &domain_
+                                                    : nullptr);
+}
+
+ReplayStats
+SoaCacheModel::coreStats(unsigned core) const
+{
+    const DuelDomain &domain =
+        coreDomains_.empty() ? domain_ : coreDomains_[core];
+    return statsOf(coreCounters_[core], coreWarmupBase_[core],
+                   duel_ ? &domain : nullptr);
 }
 
 std::vector<unsigned>
@@ -321,7 +346,8 @@ SoaCacheModel::dumpSet(uint64_t set) const
     if (family_ != Family::Recency)
         os << " tree 0x" << std::hex << tree_[set] << std::dec;
     if (duel_) {
-        os << " owner " << leaderOwner(set) << " winner " << winner_;
+        os << " owner " << leaderOwner(set) << " winner "
+           << domain_.winner;
     }
     os << " tags [";
     for (unsigned w = 0; w < assoc_; ++w)

@@ -168,6 +168,15 @@ struct TreeTables
  * externally via setWinner() from a pre-recorded winner timeline —
  * the mechanism that makes follower-set shards independent of each
  * other.
+ *
+ * The same transition also serves as the multi-core shared LLC.  The
+ * shared constructor gives the model N cores, each with its own
+ * counter bank and warmup snapshot, its own victim way mask, and —
+ * under DuelScope::PerCore — its own duel domain.  accessCore() runs
+ * the shared instantiation of accessImpl; the choice is a template
+ * parameter, so the single-core access paths compile exactly as if
+ * the shared state did not exist.  With one core, full masks and
+ * either scope, accessCore() is access() on the core's counters.
  */
 class SoaCacheModel
 {
@@ -181,6 +190,14 @@ class SoaCacheModel
 
     SoaCacheModel(const ReplaySpec &spec, const CacheConfig &config,
                   DuelMode mode = DuelMode::Live);
+
+    /**
+     * Shared LLC for @p cores cores (live duels).  Every core starts
+     * with the full way mask; under DuelScope::PerCore core c duels
+     * on the leader map rotated by c * kLeaderSetRotate sets.
+     */
+    SoaCacheModel(const ReplaySpec &spec, const CacheConfig &config,
+                  unsigned cores, DuelScope scope);
 
     /** True when the fast backend can pack this spec/geometry. */
     static bool supports(const ReplaySpec &spec,
@@ -282,12 +299,38 @@ class SoaCacheModel
     /** Access by byte address (set/tag split per the geometry). */
     GIPPR_HOT Step accessAddr(uint64_t byte_addr, AccessType type);
 
+    /** Shared models: one access by @p core (by byte address). */
+    GIPPR_HOT void accessCore(unsigned core, uint64_t byte_addr,
+                              AccessType type)
+    {
+        accessImpl<false, true>(setIndex(byte_addr), tagOf(byte_addr),
+                                type, core);
+    }
+
     /**
      * Snapshot the counters: stats().measured reports everything
      * accumulated after the last call (the warmup convention).
      * Never calling it leaves measured == total.
      */
     void markWarmup() { warmupBase_ = counters_; }
+
+    /** Shared models: markWarmup() for @p core's counters. */
+    void markWarmup(unsigned core);
+
+    /**
+     * Shared models: restrict @p core's victim selection to the ways
+     * of @p mask (a non-empty subset of the geometry's ways).  Lines
+     * outside a core's mask persist until their owners evict them —
+     * the standard way-partitioning discipline.
+     */
+    void setWayMask(unsigned core, uint64_t mask);
+
+    /**
+     * Shared models: @p core's statistics.  The duel fields come
+     * from the core's duel domain (Global scope reports the one
+     * shared tournament to every core).
+     */
+    ReplayStats coreStats(unsigned core) const;
 
     /**
      * Hint that @p set is about to be accessed.  Replay loops call
@@ -316,7 +359,7 @@ class SoaCacheModel
     void setWinner(unsigned w);
 
     /** Current follower winner (Dgippr). */
-    unsigned winner() const { return winner_; }
+    unsigned winner() const { return domain_.winner; }
 
     /** True for Dgippr models (global duel state couples the sets,
      *  so replay order across sets is load-bearing). */
@@ -336,8 +379,15 @@ class SoaCacheModel
     unsigned assoc() const { return assoc_; }
 
     /** Set index / tag of a byte address (replay plumbing). */
-    uint64_t setIndex(uint64_t byte_addr) const;
-    uint64_t tagOf(uint64_t byte_addr) const;
+    uint64_t setIndex(uint64_t byte_addr) const
+    {
+        return (byte_addr >> blockShift_) & (sets_ - 1);
+    }
+
+    uint64_t tagOf(uint64_t byte_addr) const
+    {
+        return byte_addr >> (blockShift_ + setShift_);
+    }
 
     /** Recency positions of every way in @p set (equivalence probe). */
     std::vector<unsigned> positionsOf(uint64_t set) const;
@@ -357,9 +407,31 @@ class SoaCacheModel
         TreeIpv, ///< Gippr / Dgippr: packed tree + IPV positions
     };
 
-    unsigned ipvIndexFor(uint64_t set) const;
-    template <bool Batched>
-    Step accessImpl(uint64_t set, uint64_t tag, AccessType type);
+    /**
+     * One set-dueling tournament (Dgippr only): a flat copy of a
+     * leader-owner table (duel models index it on every access; the
+     * LeaderSets accessor is an outlined call), the selector, its
+     * current winner and the per-vector leader-set misses.
+     */
+    struct DuelDomain
+    {
+        std::vector<int8_t> owners;
+        TournamentSelector selector;
+        unsigned winner = 0;
+        std::vector<uint64_t> leaderMisses;
+    };
+
+    unsigned ipvIndexFor(const DuelDomain &domain, uint64_t set) const;
+    /** Shared instantiations read @p core's counters, way mask and
+     *  duel domain; single-core ones never name @p core. */
+    template <bool Batched, bool Shared = false>
+    Step accessImpl(uint64_t set, uint64_t tag, AccessType type,
+                    unsigned core = 0);
+    unsigned maskedVictim(uint64_t set, uint64_t base,
+                          uint64_t mask) const;
+    static ReplayStats statsOf(const CounterBank &counters,
+                               const CounterBank &warmup_base,
+                               const DuelDomain *domain);
     void moveTo(uint8_t *pos, unsigned way, unsigned to);
 #if GIPPR_BATCH_KERNEL16
     void moveTo16(uint8_t *pos, unsigned way, unsigned to);
@@ -434,12 +506,9 @@ class SoaCacheModel
 
     // Set dueling (Dgippr only).
     LeaderSets leaders_;
-    /** Flat copy of leaders_'s owner table (duel models index this
-     *  on every access; the class accessor is an outlined call). */
-    std::vector<int8_t> owners_;
-    TournamentSelector selector_;
-    unsigned winner_ = 0;
-    std::vector<uint64_t> leaderMisses_;
+    /** The model's tournament over leaders_ (shared models under
+     *  DuelScope::PerCore use coreDomains_ instead). */
+    DuelDomain domain_;
 
     /**
      * Whole-trace counters; stats() derives misses (accesses - hits)
@@ -448,16 +517,29 @@ class SoaCacheModel
      */
     CounterBank counters_;
     CounterBank warmupBase_;
+
+    // Shared instantiation only (empty in single-core models).
+    /** Per-core counter banks and warmup snapshots (counters_'s
+     *  convention). */
+    std::vector<CounterBank> coreCounters_;
+    std::vector<CounterBank> coreWarmupBase_;
+    /** Per-core victim way masks. */
+    std::vector<uint64_t> masks_;
+    /** Some mask is not full: victims come from maskedVictim(). */
+    bool partitioned_ = false;
+    /** DuelScope::PerCore: core c's tournament, over the leader map
+     *  rotated by c * kLeaderSetRotate (empty under Global scope). */
+    std::vector<DuelDomain> coreDomains_;
 };
 
 inline unsigned
-SoaCacheModel::ipvIndexFor(uint64_t set) const
+SoaCacheModel::ipvIndexFor(const DuelDomain &domain, uint64_t set) const
 {
     if (!duel_)
         return 0;
-    const int owner = owners_[set];
+    const int owner = domain.owners[set];
     return owner != LeaderSets::kFollower ? static_cast<unsigned>(owner)
-                                          : winner_;
+                                          : domain.winner;
 }
 
 inline void
@@ -623,25 +705,60 @@ SoaCacheModel::treePositionOf(uint64_t word, unsigned way) const
     return static_cast<unsigned>(x) ^ parityXor_[way];
 }
 
-template <bool Batched>
+inline unsigned
+SoaCacheModel::maskedVictim(uint64_t set, uint64_t base,
+                            uint64_t mask) const
+{
+    // The way holding the highest recency position within the mask.
+    // Positions are a permutation, so with a full mask this is
+    // exactly the unmasked victim (position assoc-1 is both the LRU
+    // slot and the leaf every PLRU bit points toward).
+    unsigned best = 0;
+    unsigned best_pos = 0;
+    bool found = false;
+    for (unsigned w = 0; w < assoc_; ++w) {
+        if (((mask >> w) & 1) == 0)
+            continue;
+        const unsigned p = family_ == Family::Recency
+                               ? pos_[base + w]
+                               : treePositionOf(tree_[set], w);
+        if (!found || p > best_pos) {
+            best = w;
+            best_pos = p;
+            found = true;
+        }
+    }
+    GIPPR_DCHECK(found);
+    return best;
+}
+
+template <bool Batched, bool Shared>
 inline SoaCacheModel::Step
-SoaCacheModel::accessImpl(uint64_t set, uint64_t tag, AccessType type)
+SoaCacheModel::accessImpl(uint64_t set, uint64_t tag, AccessType type,
+                          unsigned core)
 {
     GIPPR_DCHECK(set < sets_);
+    GIPPR_DCHECK(!Shared || core < coreCounters_.size());
     const bool demand = type != AccessType::Writeback;
     const uint64_t base = set * assoc_;
     const uint64_t valid = valid_[set];
+    // Shared is a compile-time constant: single-core instantiations
+    // fold these selections to the model's own state.
+    CounterBank &counters = Shared ? coreCounters_[core] : counters_;
+    DuelDomain &domain = Shared && !coreDomains_.empty()
+                             ? coreDomains_[core]
+                             : domain_;
 
     if constexpr (!Batched) {
-        ++counters_.accesses;
-        counters_.demandAccesses += demand;
+        ++counters.accesses;
+        counters.demandAccesses += demand;
     }
 
     Step step;
     const int hit_way = findWay(base, tag, valid);
     if (hit_way >= 0) {
         const unsigned way = static_cast<unsigned>(hit_way);
-        ++counters_.hits;
+        ++counters.hits;
         step.hit = true;
         step.way = way;
         if (type != AccessType::Load)
@@ -660,7 +777,7 @@ SoaCacheModel::accessImpl(uint64_t set, uint64_t tag, AccessType type)
                              deposit_[way * assoc_];
                 break;
               case Family::TreeIpv: {
-                const unsigned v = ipvIndexFor(set);
+                const unsigned v = ipvIndexFor(domain, set);
                 const unsigned i = treePositionOf(tree_[set], way);
                 tree_[set] =
                     (tree_[set] & ~clearMask_[way]) |
@@ -673,33 +790,38 @@ SoaCacheModel::accessImpl(uint64_t set, uint64_t tag, AccessType type)
     }
 
     // Miss.
-    counters_.demandMisses += demand;
+    counters.demandMisses += demand;
     if (duel_ && demand) {
-        const int owner = owners_[set];
+        const int owner = domain.owners[set];
         if (owner != LeaderSets::kFollower) {
             GIPPR_DCHECK(mode_ == DuelMode::Live);
-            ++leaderMisses_[static_cast<unsigned>(owner)];
-            selector_.recordMiss(static_cast<unsigned>(owner));
-            winner_ = selector_.winner();
+            ++domain.leaderMisses[static_cast<unsigned>(owner)];
+            domain.selector.recordMiss(static_cast<unsigned>(owner));
+            domain.winner = domain.selector.winner();
         }
     }
 
-    // Fill: first invalid way in way order, else the policy victim.
-    const uint64_t free = ~valid & wayMask_;
+    // Fill: first invalid way (within a shared model's core mask) in
+    // way order, else the policy victim.
+    const uint64_t mask = Shared ? masks_[core] : wayMask_;
+    const uint64_t free = ~valid & mask;
     unsigned way;
     if (free != 0) {
         way = static_cast<unsigned>(countTrailingZeros(free));
     } else {
-        way = family_ == Family::Recency
-                  ? recencyVictim(&pos_[base])
-                  : (victimLut_ != nullptr
-                         ? victimLut_[tree_[set]]
-                         : packedFindPlru(tree_[set], assoc_));
-        ++counters_.evictions;
+        if (Shared && partitioned_)
+            way = maskedVictim(set, base, mask);
+        else
+            way = family_ == Family::Recency
+                      ? recencyVictim(&pos_[base])
+                      : (victimLut_ != nullptr
+                             ? victimLut_[tree_[set]]
+                             : packedFindPlru(tree_[set], assoc_));
+        ++counters.evictions;
         step.evicted = true;
         step.evictedTag = tags_[base + way];
         step.evictedDirty = (dirty_[set] >> way) & 1;
-        counters_.writebacks += step.evictedDirty;
+        counters.writebacks += step.evictedDirty;
     }
 
     tags_[base + way] = tag;
@@ -737,7 +859,7 @@ SoaCacheModel::accessImpl(uint64_t set, uint64_t tag, AccessType type)
                      deposit_[way * assoc_];
         break;
       case Family::TreeIpv: {
-        const unsigned v = ipvIndexFor(set);
+        const unsigned v = ipvIndexFor(domain, set);
         tree_[set] = (tree_[set] & ~clearMask_[way]) |
                      insertDeposit_[v * assoc_ + way];
         break;
@@ -818,12 +940,12 @@ SoaCacheModel::accessResolved16(uint64_t set, uint64_t tag,
 
     // Never taken for non-duel models (duel_ is fixed per model).
     if (duel_ && demand && !hit) {
-        const int owner = owners_[set];
+        const int owner = domain_.owners[set];
         if (owner != LeaderSets::kFollower) {
             GIPPR_DCHECK(mode_ == DuelMode::Live);
-            ++leaderMisses_[static_cast<unsigned>(owner)];
-            selector_.recordMiss(static_cast<unsigned>(owner));
-            winner_ = selector_.winner();
+            ++domain_.leaderMisses[static_cast<unsigned>(owner)];
+            domain_.selector.recordMiss(static_cast<unsigned>(owner));
+            domain_.winner = domain_.selector.winner();
         }
     }
 
@@ -860,7 +982,7 @@ SoaCacheModel::accessResolved16(uint64_t set, uint64_t tag,
         break;
       }
       case Family::TreeIpv: {
-        const unsigned v = ipvIndexFor(set);
+        const unsigned v = ipvIndexFor(domain_, set);
         const uint64_t t = tree_[set];
         const uint64_t cm = clearMask_[way];
         const uint64_t promo_dep =

@@ -7,6 +7,7 @@
 
 #include "cache/replay.hh"
 #include "sim/fastpath/engine.hh"
+#include "sim/fastpath/soa_cache.hh"
 #include "sim/multicore/reference_model.hh"
 #include "util/check.hh"
 #include "util/log.hh"
@@ -58,7 +59,7 @@ runLoop(Model &model, const std::vector<CoreStream> &streams,
             model.markWarmup(core);
         const MemRecord &r = (*streams[core].trace)[i];
         const AccessType type = recordType(r);
-        model.access(core, r.addr, type);
+        model.accessCore(core, r.addr, type);
 
         if (monitor != nullptr) {
             if (type != AccessType::Writeback) {
@@ -131,6 +132,22 @@ runBackend(const std::vector<CoreStream> &streams,
 
 } // namespace
 
+DuelScope
+parseDuelScope(const std::string &text)
+{
+    if (text == "global")
+        return DuelScope::Global;
+    if (text == "per-core" || text == "percore")
+        return DuelScope::PerCore;
+    fatal("unknown duel scope (want global|per-core): " + text);
+}
+
+const char *
+duelScopeName(DuelScope scope)
+{
+    return scope == DuelScope::PerCore ? "per-core" : "global";
+}
+
 Backend
 parseBackend(const std::string &text)
 {
@@ -154,7 +171,8 @@ runSharedLlc(const std::vector<CoreStream> &streams,
     GIPPR_CHECK(!streams.empty());
     GIPPR_CHECK(params.warmupFraction >= 0.0 &&
                 params.warmupFraction <= 1.0);
-    GIPPR_CHECK(SharedLlcModel::supports(params.policy, params.llc));
+    GIPPR_CHECK(
+        fastpath::SoaCacheModel::supports(params.policy, params.llc));
     for (const CoreStream &s : streams)
         GIPPR_CHECK(s.trace != nullptr);
 
@@ -178,7 +196,8 @@ runSharedLlc(const std::vector<CoreStream> &streams,
     }
 
     if (params.backend == Backend::Fast)
-        runBackend<SharedLlcModel>(streams, params, warmups, result);
+        runBackend<fastpath::SoaCacheModel>(streams, params, warmups,
+                                            result);
     else
         runBackend<ScalarSharedLlc>(streams, params, warmups, result);
 

@@ -4,12 +4,12 @@
  *
  * runSharedLlc() is the multicore counterpart of fastpath's
  * ReplayEngine::replay: it merges N per-core LLC streams through one
- * deterministic Interleaver into one shared cache model (packed
- * SharedLlcModel or the scalar ScalarSharedLlc oracle, selected by
- * RunParams::backend), manages per-core warmup snapshots, drives the
- * optional utility repartitioner, replays each core's solo baseline
- * through the existing single-core engines, and derives the fairness
- * report.
+ * deterministic Interleaver into one shared cache model (the shared
+ * instantiation of fastpath::SoaCacheModel or the scalar
+ * ScalarSharedLlc oracle, selected by RunParams::backend), manages
+ * per-core warmup snapshots, drives the optional utility
+ * repartitioner, replays each core's solo baseline through the
+ * existing single-core engines, and derives the fairness report.
  *
  * Determinism contract: for fixed streams and RunParams the result
  * is bit-identical across runs and across backends; with one core,
@@ -31,15 +31,22 @@
 #include "sim/multicore/mix.hh"
 #include "sim/multicore/partition.hh"
 #include "sim/multicore/schedule.hh"
-#include "sim/multicore/shared_model.hh"
 
 namespace gippr::multicore
 {
 
+using fastpath::DuelScope;
+
+/** Parse "global" or "per-core"; fatal otherwise. */
+DuelScope parseDuelScope(const std::string &text);
+
+/** Stable display name. */
+const char *duelScopeName(DuelScope scope);
+
 /** Which shared-LLC implementation replays the mix. */
 enum class Backend
 {
-    Fast,   ///< packed SharedLlcModel
+    Fast,   ///< packed fastpath::SoaCacheModel
     Scalar, ///< ScalarSharedLlc reference
 };
 

@@ -12,7 +12,8 @@ namespace gippr::multicore
 
 ScalarSharedLlc::ScalarSharedLlc(const fastpath::ReplaySpec &spec,
                                  const CacheConfig &config,
-                                 unsigned cores, DuelScope scope)
+                                 unsigned cores,
+                                 fastpath::DuelScope scope)
     : config_(config), sets_(config.sets()), assoc_(config.assoc),
       scope_(scope),
       fullMask_(config.assoc == 64 ? ~uint64_t{0}
@@ -37,7 +38,7 @@ ScalarSharedLlc::ScalarSharedLlc(const fastpath::ReplaySpec &spec,
         duel_ = true;
         break;
     }
-    ipvs_ = effectiveReplayIpvs(spec, assoc_);
+    ipvs_ = fastpath::effectiveIpvs(spec, assoc_);
 
     lines_.assign(sets_ * assoc_, {});
     if (family_ == Family::Recency) {
@@ -52,7 +53,7 @@ ScalarSharedLlc::ScalarSharedLlc(const fastpath::ReplaySpec &spec,
             clampLeaders(sets_, nvec, spec.leaders);
         LeaderSets base(sets_, nvec, leaders);
         const unsigned domains =
-            scope_ == DuelScope::PerCore ? cores : 1;
+            scope_ == fastpath::DuelScope::PerCore ? cores : 1;
         owners_.resize(domains);
         winner_.resize(domains);
         leaderMisses_.assign(domains,
@@ -62,7 +63,8 @@ ScalarSharedLlc::ScalarSharedLlc(const fastpath::ReplaySpec &spec,
             owners_[d].resize(sets_);
             for (uint64_t s = 0; s < sets_; ++s)
                 owners_[d][s] =
-                    base.owner((s + d * kLeaderSetRotate) % sets_);
+                    base.owner((s + d * fastpath::kLeaderSetRotate) %
+                               sets_);
             selectors_.emplace_back(nvec, spec.counterBits);
             winner_[d] = selectors_[d].winner();
         }
@@ -116,7 +118,8 @@ ScalarSharedLlc::victimWay(unsigned core, uint64_t set) const
         return family_ == Family::Recency ? stacks_[set].lruWay()
                                           : trees_[set].findPlru();
     }
-    // Highest recency position within the mask (see SharedLlcModel).
+    // Highest recency position within the mask (see
+    // SoaCacheModel::maskedVictim).
     unsigned best = 0;
     unsigned best_pos = 0;
     bool found = false;
@@ -137,8 +140,8 @@ ScalarSharedLlc::victimWay(unsigned core, uint64_t set) const
 }
 
 void
-ScalarSharedLlc::access(unsigned core, uint64_t byte_addr,
-                        AccessType type)
+ScalarSharedLlc::accessCore(unsigned core, uint64_t byte_addr,
+                            AccessType type)
 {
     GIPPR_DCHECK(core < counters_.size());
     const uint64_t set = setIndex(byte_addr);

@@ -2,17 +2,25 @@
  * @file
  * Scalar reference model for the shared-LLC differential oracle.
  *
- * ScalarSharedLlc implements the same N-core shared cache semantics
- * as SharedLlcModel but over the production scalar data structures —
- * PlruTree / RecencyStack per set, LeaderSets + TournamentSelector
- * for dueling — with none of the packed-state tricks.  The two are
- * developed against the same written semantics but share no state
- * layout, which is what makes the lock-step scalar-vs-fast oracle in
- * tests/test_multicore_sim.cc meaningful for interleaved streams
- * (the same discipline PR 3 established for single-core replay).
+ * ScalarSharedLlc implements the N-core shared cache semantics of
+ * fastpath::SoaCacheModel's shared instantiation over the production
+ * scalar data structures — PlruTree / RecencyStack per set,
+ * LeaderSets + TournamentSelector for dueling — with none of the
+ * packed-state tricks.
  *
- * It deliberately exposes the exact interface of SharedLlcModel so
- * the engine's replay loop can be templated over either backend.
+ * It is the one independent reference for the shared LLC, and it
+ * stays because nothing else can play that role.  The single-core
+ * reference, SetAssocCache with a ReplacementPolicy object, has no
+ * per-core counter banks, no per-core way masks and no per-core duel
+ * domains, so it cannot replay a partitioned or PerCore-duel mix.
+ * ScalarSharedLlc is developed against the same written semantics as
+ * SoaCacheModel but shares no state layout with it, which is what
+ * makes the lock-step scalar-vs-fast oracle in
+ * tests/test_multicore_sim.cc meaningful for interleaved streams.
+ *
+ * Its per-core interface (accessCore, markWarmup, setWayMask,
+ * coreStats) matches SoaCacheModel's shared one, so the engine's
+ * replay loop is templated over either backend.
  */
 
 #ifndef GIPPR_SIM_MULTICORE_REFERENCE_MODEL_HH_
@@ -26,29 +34,22 @@
 #include "policies/recency_stack.hh"
 #include "policies/set_dueling.hh"
 #include "sim/fastpath/replay_spec.hh"
-#include "sim/multicore/shared_model.hh"
 
 namespace gippr::multicore
 {
 
-/** Scalar N-core shared LLC (oracle for SharedLlcModel). */
+/** Scalar N-core shared LLC (oracle for the packed shared model). */
 class ScalarSharedLlc
 {
   public:
     ScalarSharedLlc(const fastpath::ReplaySpec &spec,
                     const CacheConfig &config, unsigned cores,
-                    DuelScope scope);
+                    fastpath::DuelScope scope);
 
-    void access(unsigned core, uint64_t byte_addr, AccessType type);
+    void accessCore(unsigned core, uint64_t byte_addr, AccessType type);
     void markWarmup(unsigned core);
     void setWayMask(unsigned core, uint64_t mask);
-    uint64_t wayMask(unsigned core) const { return masks_[core]; }
     fastpath::ReplayStats coreStats(unsigned core) const;
-
-    unsigned cores() const
-    {
-        return static_cast<unsigned>(counters_.size());
-    }
 
     uint64_t sets() const { return sets_; }
     unsigned assoc() const { return assoc_; }
@@ -73,7 +74,7 @@ class ScalarSharedLlc
 
     unsigned duelIndexOf(unsigned core) const
     {
-        return scope_ == DuelScope::PerCore ? core : 0;
+        return scope_ == fastpath::DuelScope::PerCore ? core : 0;
     }
 
     unsigned ipvIndexFor(unsigned core, uint64_t set) const;
@@ -86,7 +87,7 @@ class ScalarSharedLlc
 
     Family family_;
     bool duel_ = false;
-    DuelScope scope_;
+    fastpath::DuelScope scope_;
     std::vector<Ipv> ipvs_;
 
     std::vector<Line> lines_;          // sets * assoc

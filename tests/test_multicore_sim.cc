@@ -15,16 +15,20 @@
  *     boundary.  This is what makes the multicore mode a strict
  *     generalization of the single-core experiments.
  *  3. The scalar-vs-fast differential oracle on real 2- and 4-core
- *     mixes: the packed SharedLlcModel and the scalar ScalarSharedLlc
- *     replay the identical interleaved stream and must agree on every
- *     core's full statistics (counters, duel state) across policies,
- *     schedules, duel scopes and partitioning modes.
+ *     mixes: the shared instantiation of SoaCacheModel and the scalar
+ *     ScalarSharedLlc replay the identical interleaved stream and must
+ *     agree on every core's full statistics (counters, duel state)
+ *     across policies, schedules, duel scopes, partitioning modes and
+ *     8-, 16- and 32-way geometries (SoaCacheModel's SIMD scan, victim
+ *     and moveTo branches run only at 16 ways; the other two widths
+ *     check its generic loops).
  *  4. End-to-end properties: run-to-run determinism, utility
- *     repartitioning activity, and full way masks degenerating to the
- *     unpartitioned transition.
+ *     repartitioning activity, shared-LLC contention, and full way
+ *     masks degenerating to the unpartitioned transition.
  */
 
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -36,12 +40,12 @@
 #include "cache/hierarchy.hh"
 #include "core/vectors.hh"
 #include "sim/fastpath/engine.hh"
+#include "sim/fastpath/soa_cache.hh"
 #include "sim/multicore/engine.hh"
 #include "sim/multicore/fairness.hh"
 #include "sim/multicore/mix.hh"
 #include "sim/multicore/partition.hh"
 #include "sim/multicore/schedule.hh"
-#include "sim/multicore/shared_model.hh"
 #include "sim/trace_cache.hh"
 #include "util/rng.hh"
 #include "workloads/suite.hh"
@@ -53,29 +57,53 @@ namespace
 
 using namespace gippr::multicore;
 
-/** Small LLC so streams wrap the set space and evict constantly. */
+/**
+ * Small LLC so streams wrap the set space and evict constantly: 64
+ * sets at @p ways ways (64 KB and 1024 lines at the default 16).
+ */
 CacheConfig
-smallLlc()
+smallLlc(unsigned ways = 16)
 {
     CacheConfig cfg;
     cfg.name = "llc";
-    cfg.sizeBytes = 64 * 1024; // 64 sets at 16 ways
-    cfg.assoc = 16;
+    cfg.sizeBytes = 64ull * ways * 64;
+    cfg.assoc = ways;
     cfg.blockBytes = 64;
     return cfg;
 }
 
-/** The seven replayable core policies at 16 ways. */
+/** Associativities the oracle covers (see the file comment). */
+constexpr unsigned kOracleWays[] = {8, 16, 32};
+
+/**
+ * The seven replayable core policies at @p ways ways: the shipped
+ * 16-way vectors at 16 ways, seeded random vectors of the same count
+ * elsewhere.
+ */
 std::vector<std::pair<std::string, fastpath::ReplaySpec>>
-allSpecs()
+allSpecs(unsigned ways = 16)
 {
+    Rng rng(ways);
+    const auto fit = [&](std::vector<Ipv> shipped) {
+        if (ways != 16) {
+            for (Ipv &v : shipped) {
+                std::vector<uint8_t> entries(ways + 1);
+                for (uint8_t &e : entries)
+                    e = static_cast<uint8_t>(rng.nextBounded(ways));
+                v = Ipv(std::move(entries));
+            }
+        }
+        return shipped;
+    };
     return {{"LRU", fastpath::lruSpec()},
             {"LIP", fastpath::lipSpec()},
-            {"GIPLR", fastpath::giplrSpec(local_vectors::giplr())},
+            {"GIPLR", fastpath::giplrSpec(fit({local_vectors::giplr()})[0])},
             {"PLRU", fastpath::plruSpec()},
-            {"GIPPR", fastpath::gipprSpec(local_vectors::gippr())},
-            {"DGIPPR2", fastpath::dgipprSpec(local_vectors::dgippr2())},
-            {"DGIPPR4", fastpath::dgipprSpec(local_vectors::dgippr4())}};
+            {"GIPPR", fastpath::gipprSpec(fit({local_vectors::gippr()})[0])},
+            {"DGIPPR2",
+             fastpath::dgipprSpec(fit(local_vectors::dgippr2()))},
+            {"DGIPPR4",
+             fastpath::dgipprSpec(fit(local_vectors::dgippr4()))}};
 }
 
 /** Shared suite + trace memo so every test reuses filtered traces. */
@@ -103,12 +131,31 @@ streamsFor(const std::string &mix_text, unsigned cores)
 }
 
 RunParams
-baseParams(const fastpath::ReplaySpec &spec)
+baseParams(const fastpath::ReplaySpec &spec, unsigned ways = 16)
 {
     RunParams params;
-    params.llc = smallLlc();
+    params.llc = smallLlc(ways);
     params.policy = spec;
     return params;
+}
+
+/** A core stream looping over @p blocks blocks from block @p base. */
+CoreStream
+loopStream(const std::string &name, uint64_t blocks, uint64_t base,
+           size_t accesses)
+{
+    auto trace = std::make_shared<Trace>();
+    for (size_t i = 0; i < accesses; ++i) {
+        MemRecord r;
+        r.addr = (base + i % blocks) * 64;
+        r.instGap = 6;
+        trace->append(r);
+    }
+    CoreStream stream;
+    stream.workload = name;
+    stream.trace = std::move(trace);
+    stream.instructions = accesses * 6;
+    return stream;
 }
 
 // ---------------------------------------------------------------- 1.
@@ -397,30 +444,34 @@ TEST(MulticoreOracle, ScalarVsFastOnMultiCoreMixes)
         {"balanced", 2}, {"kv-serving", 4}};
     for (const auto &[mix, cores] : mixes) {
         const std::vector<CoreStream> streams = streamsFor(mix, cores);
-        for (const auto &[name, spec] : allSpecs()) {
-            const std::string label = mix + "/" + name;
-            // Free-for-all, strict round-robin, one global duel.
-            expectBackendsAgree(streams, baseParams(spec),
-                                label + "/rr-global-none");
+        for (const unsigned ways : kOracleWays) {
+            const std::string geo = mix + "/" + std::to_string(ways) + "w";
+            const auto specs = allSpecs(ways);
+            for (const auto &[name, spec] : specs) {
+                const std::string label = geo + "/" + name;
+                // Free-for-all, strict round-robin, one global duel.
+                expectBackendsAgree(streams, baseParams(spec, ways),
+                                    label + "/rr-global-none");
 
-            // Weighted arrivals, per-core duels, static partition.
-            RunParams contended = baseParams(spec);
-            contended.schedule = Schedule::Weighted;
-            contended.duelScope = DuelScope::PerCore;
-            contended.partition.mode = PartitionMode::Static;
-            contended.partition.staticWays =
-                evenSplit(cores, contended.llc.assoc);
-            expectBackendsAgree(streams, contended,
-                                label + "/weighted-percore-static");
+                // Weighted arrivals, per-core duels, static partition.
+                RunParams contended = baseParams(spec, ways);
+                contended.schedule = Schedule::Weighted;
+                contended.duelScope = DuelScope::PerCore;
+                contended.partition.mode = PartitionMode::Static;
+                contended.partition.staticWays =
+                    evenSplit(cores, contended.llc.assoc);
+                expectBackendsAgree(streams, contended,
+                                    label + "/weighted-percore-static");
+            }
+            // Utility repartitioning exercises the monitor + mask
+            // flips on both backends at the same ticks.
+            RunParams utility = baseParams(specs[5].second, ways);
+            ASSERT_EQ(specs[5].first, "DGIPPR2");
+            utility.duelScope = DuelScope::PerCore;
+            utility.partition.mode = PartitionMode::Utility;
+            utility.partition.repartitionEvery = 8192;
+            expectBackendsAgree(streams, utility, geo + "/utility");
         }
-        // Utility repartitioning exercises the monitor + mask flips
-        // on both backends at the same ticks.
-        RunParams utility =
-            baseParams(fastpath::dgipprSpec(local_vectors::dgippr2()));
-        utility.duelScope = DuelScope::PerCore;
-        utility.partition.mode = PartitionMode::Utility;
-        utility.partition.repartitionEvery = 8192;
-        expectBackendsAgree(streams, utility, mix + "/utility");
     }
 }
 
@@ -464,29 +515,51 @@ TEST(MulticoreEndToEnd, UtilityRepartitioningActivates)
     EXPECT_LE(total, params.llc.assoc);
 }
 
+TEST(MulticoreEndToEnd, SharedLlcContentionHurts)
+{
+    // Each 700-block loop fits smallLlc()'s 1024 lines on its own;
+    // together the 1400 blocks thrash LRU.
+    const std::vector<CoreStream> streams = {
+        loopStream("loop_a", 700, 0, 40'000),
+        loopStream("loop_b", 700, 1 << 20, 40'000)};
+    const RunResult res =
+        runSharedLlc(streams, baseParams(fastpath::lruSpec()));
+    ASSERT_EQ(res.cores.size(), 2u);
+    for (const CoreResult &cr : res.cores)
+        EXPECT_GT(cr.stats.measured.demandMisses,
+                  cr.solo.measured.demandMisses)
+            << cr.workload;
+    EXPECT_LT(res.fairness.weightedSpeedup, 1.0);
+}
+
 TEST(MulticoreEndToEnd, FullMasksMatchUnpartitionedTransition)
 {
-    const fastpath::ReplaySpec spec =
-        fastpath::gipprSpec(local_vectors::gippr());
-    const CacheConfig llc = smallLlc();
-    SharedLlcModel plain(spec, llc, 2, DuelScope::Global);
-    SharedLlcModel masked(spec, llc, 2, DuelScope::Global);
-    const uint64_t full = (1ull << llc.assoc) - 1;
-    masked.setWayMask(0, full);
-    masked.setWayMask(1, full);
+    for (const unsigned ways : kOracleWays) {
+        const CacheConfig llc = smallLlc(ways);
+        const uint64_t full = (1ull << ways) - 1;
+        for (const auto &[name, spec] : allSpecs(ways)) {
+            fastpath::SoaCacheModel plain(spec, llc, 2, DuelScope::Global);
+            fastpath::SoaCacheModel masked(spec, llc, 2,
+                                           DuelScope::Global);
+            masked.setWayMask(0, full);
+            masked.setWayMask(1, full);
 
-    Rng rng(0xfeed);
-    for (int i = 0; i < 200'000; ++i) {
-        const auto core = static_cast<unsigned>(rng.nextBounded(2));
-        const uint64_t addr = rng.nextBounded(1 << 20) * 64ull;
-        const AccessType type = rng.nextBool(0.2) ? AccessType::Store
-                                                  : AccessType::Load;
-        plain.access(core, addr, type);
-        masked.access(core, addr, type);
+            Rng rng(0xfeed);
+            for (int i = 0; i < 200'000; ++i) {
+                const auto core =
+                    static_cast<unsigned>(rng.nextBounded(2));
+                const uint64_t addr = rng.nextBounded(1 << 20) * 64ull;
+                const AccessType type = rng.nextBool(0.2)
+                                            ? AccessType::Store
+                                            : AccessType::Load;
+                plain.accessCore(core, addr, type);
+                masked.accessCore(core, addr, type);
+            }
+            for (unsigned core = 0; core < 2; ++core)
+                EXPECT_EQ(plain.coreStats(core), masked.coreStats(core))
+                    << name << " at " << ways << " ways, core " << core;
+        }
     }
-    for (unsigned core = 0; core < 2; ++core)
-        EXPECT_EQ(plain.coreStats(core), masked.coreStats(core))
-            << "core " << core;
 }
 
 } // namespace

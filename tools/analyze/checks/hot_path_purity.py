@@ -1,7 +1,7 @@
 """hot-path-purity: GIPPR_HOT functions stay allocation- and
 side-channel-free, transitively.
 
-The fastpath SoA kernels and the multicore shared-model access path
+The fastpath SoA kernels, including the shared-LLC instantiation,
 are the throughput budget of the whole system (ROADMAP's 2x GA
 target); one stray heap allocation, virtual dispatch, lock, throw, or
 stream write in them costs more than any micro-optimization saves and
