@@ -5,6 +5,11 @@
 
 #include "common.hh"
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -12,6 +17,7 @@
 
 #include "ga/fitness.hh"
 #include "util/log.hh"
+#include "util/parallel.hh"
 
 namespace gippr::bench
 {
@@ -34,6 +40,20 @@ parseJsonFlag(int argc, char **argv)
             return arg + 7;
     }
     return "";
+}
+
+/** CPUs in this process's affinity mask (hardware threads where that
+ *  is unavailable), at least 1. */
+unsigned
+processCpus()
+{
+#if defined(__linux__)
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (sched_getaffinity(0, sizeof(set), &set) == 0)
+        return static_cast<unsigned>(std::max(1, CPU_COUNT(&set)));
+#endif
+    return resolveThreads(0);
 }
 
 /** True when @p s parses fully as a floating-point number. */
@@ -79,8 +99,10 @@ resolveScale()
         s.ga.population = 128;
         s.ga.generations = 30;
     }
-    s.ga.threads = 8;
-    s.threads = 8;
+    // Results do not depend on the thread count, so use every CPU
+    // this process may run on.
+    s.threads = processCpus();
+    s.ga.threads = s.threads;
     return s;
 }
 

@@ -158,8 +158,11 @@ main(int argc, char **argv)
                 "(fastN uses %u shards)\n",
                 worst_fast1, shards);
     note("the packed SoA backend replays the same traces several times "
-         "faster than the object-based simulator; sharding adds "
-         "near-linear scaling on top for large set counts");
+         "faster than the object-based simulator; sharding does not "
+         "scale near-linearly: on a 4-vCPU host, 4 shards measured "
+         "1.1-1.35x one shard for LRU/GIPLR/GIPPR and were slower "
+         "for 2-/4-DGIPPR (ROADMAP, \"Filter once\" part (c)); "
+         "compare the fast1 and fastN columns above");
     session.emit();
     return 0;
 }

@@ -39,6 +39,12 @@ Hierarchy::access(uint64_t byte_addr, bool is_write, uint64_t pc)
         is_write ? AccessType::Store : AccessType::Load;
 
     GIPPR_CHECK(type != AccessType::Writeback);
+    // Under inclusion a line absent from the LLC must also be absent
+    // above it, so an LLC demand miss can never follow an upper hit.
+    // Checked on entry: the L1/L2 accesses below allocate the line
+    // before the LLC sees it.
+    GIPPR_DCHECK(!inclusive_ || llc_->probe(byte_addr) ||
+                 (!l1_->probe(byte_addr) && !l2_->probe(byte_addr)));
     AccessResult r1 = l1_->access(byte_addr, type, pc);
     if (r1.hit)
         return HitLevel::L1;
@@ -65,10 +71,6 @@ Hierarchy::access(uint64_t byte_addr, bool is_write, uint64_t pc)
     if (r2.hit)
         return HitLevel::L2;
 
-    // Under inclusion a line absent from the LLC must also be absent
-    // above it, so an LLC demand miss can never follow an upper hit.
-    GIPPR_DCHECK(!inclusive_ || llc_->probe(byte_addr) ||
-                 (!l1_->probe(byte_addr) && !l2_->probe(byte_addr)));
     AccessResult r3 = llc_->access(byte_addr, type, pc);
     // LLC dirty victims go to memory.  Under inclusion, an LLC
     // eviction also back-invalidates the line from the levels above
@@ -114,27 +116,10 @@ Hierarchy::filterToLlc(const Trace &cpu_trace,
 
     for (const auto &rec : cpu_trace.records()) {
         pending_gap += rec.instGap;
-        const AccessType type =
-            rec.isWrite ? AccessType::Store : AccessType::Load;
-
-        AccessResult r1 = l1.access(rec.addr, type, rec.pc);
-        if (r1.hit)
-            continue;
-
-        if (r1.evictedBlock && r1.evictedDirty) {
-            uint64_t wb_addr = *r1.evictedBlock
-                               << config.l1.blockShift();
-            AccessResult wb = l2.access(wb_addr, AccessType::Writeback, 0);
-            if (wb.evictedBlock && wb.evictedDirty) {
-                emit(*wb.evictedBlock << config.l2.blockShift(), 0, true);
-            }
-        }
-
-        AccessResult r2 = l2.access(rec.addr, type, rec.pc);
-        if (r2.evictedBlock && r2.evictedDirty)
-            emit(*r2.evictedBlock << config.l2.blockShift(), 0, true);
-        if (!r2.hit)
-            emit(rec.addr, rec.pc, rec.isWrite);
+        filterAccess(l1, l2, rec,
+                     [&](uint64_t addr, uint64_t pc, AccessType type) {
+                         emit(addr, pc, type != AccessType::Load);
+                     });
     }
 
     return llc_trace;

@@ -6,7 +6,9 @@
  *
  *  1. In the performance simulator it services each CPU reference and
  *     reports which level supplied the data, so the CPU model can apply
- *     per-level latencies.
+ *     per-level latencies.  access() is the reference form; the perf
+ *     experiments run L1/L2 once through filterAccess() and replay
+ *     only the LLC per policy (simulateWorkloadPolicies).
  *  2. As a *filter*: the paper's traces contain only the references
  *     that survive the L1/L2 and reach the LLC.  filterToLlc() runs a
  *     CPU-level trace through L1+L2 and emits the resulting LLC access
@@ -93,6 +95,22 @@ class Hierarchy
                              const PolicyFactory &l1_policy,
                              const PolicyFactory &l2_policy);
 
+    /**
+     * Run one CPU reference through a non-inclusive @p l1 + @p l2
+     * pair: the upper half of access(), written once for
+     * filterToLlc() and the perf simulator's filter pass.  Each
+     * access that continues to the LLC goes to
+     * @p emit(byte_addr, pc, type) in the order access() issues it:
+     * the L2 dirty victim of an L1 writeback, then the L2's own dirty
+     * victim (both AccessType::Writeback with pc 0), then the demand
+     * miss itself (Load or Store, with @p rec's pc).  Returns L1 or
+     * L2 for an upper-level hit and Llc when the demand reference
+     * goes on to the LLC.
+     */
+    template <typename Emit>
+    static HitLevel filterAccess(SetAssocCache &l1, SetAssocCache &l2,
+                                 const MemRecord &rec, Emit &&emit);
+
   private:
     /** Remove an LLC-evicted block from the upper levels. */
     void backInvalidate(uint64_t block_addr);
@@ -102,6 +120,36 @@ class Hierarchy
     std::unique_ptr<SetAssocCache> l2_;
     std::unique_ptr<SetAssocCache> llc_;
 };
+
+template <typename Emit>
+HitLevel
+Hierarchy::filterAccess(SetAssocCache &l1, SetAssocCache &l2,
+                        const MemRecord &rec, Emit &&emit)
+{
+    const AccessType type =
+        rec.isWrite ? AccessType::Store : AccessType::Load;
+    AccessResult r1 = l1.access(rec.addr, type, rec.pc);
+    if (r1.hit)
+        return HitLevel::L1;
+
+    // L1 victim writes back into L2.
+    if (r1.evictedBlock && r1.evictedDirty) {
+        uint64_t wb_addr = *r1.evictedBlock << l1.config().blockShift();
+        AccessResult wb = l2.access(wb_addr, AccessType::Writeback, 0);
+        if (wb.evictedBlock && wb.evictedDirty)
+            emit(*wb.evictedBlock << l2.config().blockShift(), uint64_t{0},
+                 AccessType::Writeback);
+    }
+
+    AccessResult r2 = l2.access(rec.addr, type, rec.pc);
+    if (r2.evictedBlock && r2.evictedDirty)
+        emit(*r2.evictedBlock << l2.config().blockShift(), uint64_t{0},
+             AccessType::Writeback);
+    if (r2.hit)
+        return HitLevel::L2;
+    emit(rec.addr, rec.pc, type);
+    return HitLevel::Llc;
+}
 
 } // namespace gippr
 

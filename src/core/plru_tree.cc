@@ -5,17 +5,38 @@
 
 #include "core/plru_tree.hh"
 
+#include <stdexcept>
+#include <string>
+
 #include "util/bitops.hh"
 #include "util/check.hh"
 
 namespace gippr
 {
 
-PlruTree::PlruTree(unsigned ways)
-    : ways_(ways), levels_(floorLog2(ways)), bits_(ways - 1, 0)
+namespace
 {
-    GIPPR_CHECK(ways >= 2 && ways <= 256);
-    GIPPR_CHECK(isPow2(ways));
+
+/**
+ * @p ways, validated in every build type: any other width would build
+ * a tree with the wrong number of levels and bits.
+ */
+unsigned
+checkedWays(unsigned ways)
+{
+    if (ways < 2 || ways > 256 || !isPow2(ways))
+        throw std::invalid_argument(
+            "PlruTree: ways must be a power of two in [2, 256], got " +
+            std::to_string(ways));
+    return ways;
+}
+
+} // namespace
+
+PlruTree::PlruTree(unsigned ways)
+    : ways_(checkedWays(ways)), levels_(floorLog2(ways_)),
+      bits_(ways_ - 1, 0)
+{
 }
 
 unsigned

@@ -38,7 +38,10 @@ namespace gippr
 class PlruTree
 {
   public:
-    /** @param ways associativity; power of two in [2, 256] */
+    /**
+     * @param ways associativity; power of two in [2, 256]
+     * @throws std::invalid_argument for any other @p ways
+     */
     explicit PlruTree(unsigned ways);
 
     unsigned ways() const { return ways_; }

@@ -7,12 +7,31 @@
 
 #include <algorithm>
 
+#include "util/check.hh"
+
 namespace gippr
 {
 
 CpuModel::CpuModel(CpuParams params)
-    : params_(params)
+    : params_(params), inflight_(std::max(params.mshrs, 1u))
 {
+}
+
+CpuModel::Outstanding &
+CpuModel::inflightAt(size_t i)
+{
+    const size_t slot = inflightHead_ + i;
+    return inflight_[slot < inflight_.size() ? slot
+                                             : slot - inflight_.size()];
+}
+
+void
+CpuModel::popOldest()
+{
+    inflightHead_ = inflightHead_ + 1 == inflight_.size()
+                        ? 0
+                        : inflightHead_ + 1;
+    --inflightCount_;
 }
 
 double
@@ -44,38 +63,41 @@ CpuModel::step(uint32_t inst_gap, HitLevel level)
 
     // Window constraint: the access cannot issue while an outstanding
     // access older than robSize instructions is still pending.
-    while (!inflight_.empty()) {
-        const Outstanding &oldest = inflight_.front();
+    while (inflightCount_ != 0) {
+        const Outstanding &oldest = inflightAt(0);
         bool outside_window =
             totalInstructions_ - oldest.instIndex >
             static_cast<uint64_t>(params_.robSize);
         if (oldest.completeCycle <= cycles_) {
-            inflight_.pop_front();
-        } else if (outside_window || inflight_.size() >= params_.mshrs) {
+            popOldest();
+        } else if (outside_window || inflightCount_ >= params_.mshrs) {
             // Stall until the blocking access returns.
             totalCycles_ += oldest.completeCycle - cycles_;
             cycles_ = oldest.completeCycle;
-            inflight_.pop_front();
+            popOldest();
         } else {
             break;
         }
     }
 
     const double lat = latencyOf(level);
-    if (lat > 0.0)
-        inflight_.push_back({totalInstructions_, cycles_ + lat});
+    if (lat > 0.0) {
+        GIPPR_DCHECK(inflightCount_ < inflight_.size());
+        inflightAt(inflightCount_) = {totalInstructions_, cycles_ + lat};
+        ++inflightCount_;
+    }
 }
 
 void
 CpuModel::drain()
 {
-    if (!inflight_.empty()) {
+    if (inflightCount_ != 0) {
         double last = cycles_;
-        for (const Outstanding &o : inflight_)
-            last = std::max(last, o.completeCycle);
+        for (size_t i = 0; i < inflightCount_; ++i)
+            last = std::max(last, inflightAt(i).completeCycle);
         totalCycles_ += last - cycles_;
         cycles_ = last;
-        inflight_.clear();
+        inflightCount_ = 0;
     }
 }
 
@@ -86,10 +108,12 @@ CpuModel::clearStats()
     instructions_ = 0;
     // In-flight accesses keep absolute completion cycles; rebase them
     // so the measured region starts at cycle zero.
-    if (!inflight_.empty()) {
-        double base = inflight_.front().completeCycle;
-        for (Outstanding &o : inflight_)
+    if (inflightCount_ != 0) {
+        double base = inflightAt(0).completeCycle;
+        for (size_t i = 0; i < inflightCount_; ++i) {
+            Outstanding &o = inflightAt(i);
             o.completeCycle = std::max(0.0, o.completeCycle - base);
+        }
     }
 }
 

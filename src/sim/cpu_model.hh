@@ -21,7 +21,7 @@
 #define GIPPR_SIM_CPU_MODEL_HH_
 
 #include <cstdint>
-#include <deque>
+#include <vector>
 
 #include "cache/hierarchy.hh"
 
@@ -92,12 +92,23 @@ class CpuModel
 
     double latencyOf(HitLevel level) const;
 
+    /** i-th oldest outstanding access (i < inflightCount_). */
+    Outstanding &inflightAt(size_t i);
+    void popOldest();
+
     CpuParams params_;
     double cycles_ = 0.0;
     double totalCycles_ = 0.0;       // never reset
     uint64_t instructions_ = 0;
     uint64_t totalInstructions_ = 0; // includes pre-clearStats work
-    std::deque<Outstanding> inflight_;
+    /**
+     * Outstanding accesses, oldest first, in a ring of max(mshrs, 1)
+     * slots: step() retires down to fewer than mshrs entries before
+     * it issues one more, so the ring never overflows.
+     */
+    std::vector<Outstanding> inflight_;
+    size_t inflightHead_ = 0;
+    size_t inflightCount_ = 0;
 };
 
 } // namespace gippr

@@ -145,10 +145,9 @@ perfRowFor(const WorkloadSpec &spec,
     row.workload = spec.name;
     row.values.reserve(policies.size());
     telemetry::ScopedTimer simulate_timer(config.timings, "simulate");
-    for (const PolicyDef &p : policies) {
-        SimResult r = simulateWorkload(workload, p.make, config.system);
+    for (const SimResult &r :
+         simulateWorkloadPolicies(workload, policies, config.system))
         row.values.push_back(r.ipc);
-    }
     return row;
 }
 

@@ -133,7 +133,8 @@ ExperimentResult runMissExperiment(const SyntheticSuite &suite,
                                    const std::vector<PolicyDef> &policies,
                                    const ExperimentConfig &config);
 
-/** Performance experiment: full-system IPC per policy. */
+/** Performance experiment: full-system IPC per policy, one
+ *  simulateWorkloadPolicies() call per workload. */
 ExperimentResult runPerfExperiment(const SyntheticSuite &suite,
                                    const std::vector<PolicyDef> &policies,
                                    const ExperimentConfig &config);

@@ -26,6 +26,7 @@
  */
 
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -332,9 +333,9 @@ TEST(FastpathEquiv, EnginesAgreeWithFullTraceWarmupEdge)
 
 TEST(FastpathEquiv, FastFallsBackForUnsupportedGeometry)
 {
-    // 3-way LLC: trees need a power of two, so PLRU/GIPPR specs are
-    // unsupported and replay() must transparently match the scalar
-    // engine via fallback.
+    // 3-way LLC: trees need a power of two, so the PLRU spec is
+    // unsupported and the fast engine falls back to the scalar one,
+    // whose PlruTree rejects the geometry in every build type.
     CacheConfig cfg;
     cfg.sizeBytes = 3 * 64 * 64;
     cfg.assoc = 3;
@@ -344,8 +345,10 @@ TEST(FastpathEquiv, FastFallsBackForUnsupportedGeometry)
     const Trace trace = randomStream(5'000, 0xfa11, cfg);
     const fastpath::ScalarReplayEngine scalar;
     const fastpath::FastReplayEngine fast(2);
-    EXPECT_EQ(scalar.replay(spec, cfg, trace, 1000),
-              fast.replay(spec, cfg, trace, 1000));
+    EXPECT_THROW(scalar.replay(spec, cfg, trace, 1000),
+                 std::invalid_argument);
+    EXPECT_THROW(fast.replay(spec, cfg, trace, 1000),
+                 std::invalid_argument);
 }
 
 } // namespace gippr
