@@ -128,7 +128,7 @@ main(int argc, char **argv)
         note("no PMU access on this host (perf_event_open failed): "
              "counter columns are zero, wall-clock attribution only");
 
-    const fastpath::FastReplayEngine fast(1);
+    const fastpath::FastReplayEngine fast;
     const std::vector<fastpath::ReplaySpec> specs = {
         fastpath::lruSpec(),
         fastpath::giplrSpec(local_vectors::giplr()),

@@ -56,10 +56,8 @@ CpuModel::step(uint32_t inst_gap, HitLevel level)
     // Issue the intervening instructions at full width.
     instructions_ += inst_gap;
     totalInstructions_ += inst_gap;
-    const double issue = static_cast<double>(inst_gap) /
-                         static_cast<double>(params_.width);
-    cycles_ += issue;
-    totalCycles_ += issue;
+    cycles_ += static_cast<double>(inst_gap) /
+               static_cast<double>(params_.width);
 
     // Window constraint: the access cannot issue while an outstanding
     // access older than robSize instructions is still pending.
@@ -72,7 +70,6 @@ CpuModel::step(uint32_t inst_gap, HitLevel level)
             popOldest();
         } else if (outside_window || inflightCount_ >= params_.mshrs) {
             // Stall until the blocking access returns.
-            totalCycles_ += oldest.completeCycle - cycles_;
             cycles_ = oldest.completeCycle;
             popOldest();
         } else {
@@ -95,7 +92,6 @@ CpuModel::drain()
         double last = cycles_;
         for (size_t i = 0; i < inflightCount_; ++i)
             last = std::max(last, inflightAt(i).completeCycle);
-        totalCycles_ += last - cycles_;
         cycles_ = last;
         inflightCount_ = 0;
     }

@@ -14,7 +14,6 @@
 #include "sim/fastpath/soa_cache.hh"
 #include "util/check.hh"
 #include "util/log.hh"
-#include "util/parallel.hh"
 
 namespace gippr::fastpath
 {
@@ -26,7 +25,8 @@ namespace
  * Requested dispatch width; -1 means "not resolved yet" and the
  * first activeReplayKernel() call reads GIPPR_REPLAY_KERNEL.  Kept
  * as a relaxed atomic so benches and tests can flip kernels between
- * (never during) replays without a data race against worker shards.
+ * (never during) replays without a data race against replays running
+ * on pool workers.
  */
 std::atomic<int> g_kernel_request{-1};
 
@@ -58,11 +58,11 @@ bankDelta(const CacheStats &end, const CacheStats &start)
     return b;
 }
 
-/** Contiguous-range shard of @p set for @p shards partitions. */
+/** Contiguous set-range bucket of @p set among @p buckets ranges. */
 inline size_t
-shardOf(uint64_t set, size_t shards, uint64_t sets)
+bucketOf(uint64_t set, size_t buckets, uint64_t sets)
 {
-    return static_cast<size_t>((set * shards) / sets);
+    return static_cast<size_t>((set * buckets) / sets);
 }
 
 /** One decoded trace record (the work shared by every genome). */
@@ -78,7 +78,7 @@ struct DecodedAccess
  * kernel's memory traffic: each genome's packed arrays are re-read
  * from the outer cache levels once per chunk, so traffic scales as
  * models * model_bytes / chunk while the decoded buffer itself
- * streams sequentially (prefetch-friendly).  64K accesses (1MB of
+ * streams sequentially (prefetch-friendly).  128K accesses (2MB of
  * DecodedAccess) keeps one genome's model plus the buffer stream
  * resident while that genome replays the chunk, and shrinks the
  * all-genomes re-stream cost to noise even for wide populations.
@@ -262,23 +262,23 @@ runChunk32Quad(SoaCacheModel &ma, SoaCacheModel &mb, SoaCacheModel &mc,
  * Non-duel models replay each chunk bucket-ordered: a stable counting
  * sort groups the decoded accesses by contiguous set range, so one
  * (genome, range) pass works in an L1-resident slice of the model.
- * Accesses to different sets commute for every non-duel policy (the
- * engine's set sharding already relies on this), and the sort is
- * stable per set, so the per-set access sequences — and therefore the
- * final state and every counter — are bit-identical to trace order.
- * Dgippr models keep trace order: the shared tournament selector
- * couples leader updates to follower reads across sets.
+ * Accesses to different sets commute for every non-duel policy: an
+ * access reads and writes only its own set's state, and the counters
+ * are sums.  The sort is stable per set, so the per-set access
+ * sequences — and therefore the final state and every counter — are
+ * bit-identical to trace order.  Dgippr models keep trace order: the
+ * shared tournament selector couples leader updates to follower reads
+ * across sets.
  *
- * @p shards > 1 filters to @p shard's contiguous slice of the set
- * space (the engine's usual sharding).  Chunks never straddle
- * @p warmup, so every model snapshots its counters at exactly the
- * boundary the per-spec replay() uses.
+ * Chunks never straddle @p warmup, so every model snapshots its
+ * counters at exactly the boundary the per-spec replay() uses.
  */
 void
 replayBatch(std::vector<SoaCacheModel> &models, const TraceSource &trace,
-            size_t warmup, size_t shard, size_t shards, uint64_t sets)
+            size_t warmup)
 {
     const SoaCacheModel &geo = models.front();
+    const uint64_t sets = geo.sets();
     const size_t chunk = std::min<size_t>(kBatchChunk, trace.size());
     bool any_ordered = false;
     for (const SoaCacheModel &m : models)
@@ -320,13 +320,10 @@ replayBatch(std::vector<SoaCacheModel> &models, const TraceSource &trace,
         uint64_t demand = 0;
         for (size_t j = i; j < end; ++j) {
             const MemRecord &r = trace[j];
-            const uint64_t set = geo.setIndex(r.addr);
-            if (shards > 1 && shardOf(set, shards, sets) != shard)
-                continue;
             const AccessType type = recordType(r);
             demand += type != AccessType::Writeback;
             buf[n++] = {geo.tagOf(r.addr),
-                        static_cast<uint32_t>(set), type};
+                        static_cast<uint32_t>(geo.setIndex(r.addr)), type};
         }
 
         // Stable counting sort of the chunk by set-range bucket.
@@ -334,11 +331,11 @@ replayBatch(std::vector<SoaCacheModel> &models, const TraceSource &trace,
         if (!ordered.empty() && n > 0) {
             std::fill(cursor.begin(), cursor.end(), 0);
             for (size_t k = 0; k < n; ++k)
-                ++cursor[shardOf(buf[k].set, buckets, sets) + 1];
+                ++cursor[bucketOf(buf[k].set, buckets, sets) + 1];
             for (size_t b = 1; b <= buckets; ++b)
                 cursor[b] += cursor[b - 1];
             for (size_t k = 0; k < n; ++k)
-                ordered[cursor[shardOf(buf[k].set, buckets, sets)]++] =
+                ordered[cursor[bucketOf(buf[k].set, buckets, sets)]++] =
                     buf[k];
             ord = ordered.data();
         }
@@ -515,11 +512,6 @@ ScalarReplayEngine::replay(const ReplaySpec &spec,
     return stats;
 }
 
-FastReplayEngine::FastReplayEngine(unsigned shards)
-    : shards_(shards == 0 ? resolveThreads(0) : shards)
-{
-}
-
 bool
 FastReplayEngine::supports(const ReplaySpec &spec,
                            const CacheConfig &config)
@@ -536,129 +528,19 @@ FastReplayEngine::replay(const ReplaySpec &spec,
         return fallback_.replay(spec, config, trace, warmup);
     GIPPR_CHECK(warmup <= trace.size());
 
-    const uint64_t sets = config.sets();
-    const size_t shards = std::min<uint64_t>(shards_, sets);
-    const bool duel = spec.kind == FastPolicyKind::Dgippr;
-
-    if (shards == 1 || !duel) {
-        if (shards == 1) {
-            // One model replays the whole trace in order (for Dgippr
-            // this keeps leader updates and follower reads naturally
-            // interleaved, exactly like the scalar engine).
-            SoaCacheModel model(spec, config);
-            for (size_t i = 0; i < trace.size(); ++i) {
-                if (i == warmup)
-                    model.markWarmup();
-                const MemRecord &r = trace[i];
-                model.accessAddr(r.addr, recordType(r));
-            }
-            if (warmup == trace.size())
-                model.markWarmup();
-            return model.stats();
-        }
-
-        // Independent sets: each shard filter-scans the trace for its
-        // contiguous slice of the set space.
-        std::vector<ReplayStats> shard_stats(shards);
-        parallelFor(shards, static_cast<unsigned>(shards),
-                    [&](size_t shard) {
-                        SoaCacheModel model(spec, config);
-                        // Snapshot before the shard's first measured
-                        // record (warmup == 0 needs none: the initial
-                        // snapshot is already all-zero).
-                        bool snapped = warmup == 0;
-                        for (size_t i = 0; i < trace.size(); ++i) {
-                            const MemRecord &r = trace[i];
-                            const uint64_t set = model.setIndex(r.addr);
-                            if (shardOf(set, shards, sets) != shard)
-                                continue;
-                            if (!snapped && i >= warmup) {
-                                model.markWarmup();
-                                snapped = true;
-                            }
-                            model.access(set, model.tagOf(r.addr),
-                                         recordType(r));
-                        }
-                        if (!snapped)
-                            model.markWarmup();
-                        shard_stats[shard] = model.stats();
-                    });
-        ReplayStats out;
-        for (const ReplayStats &s : shard_stats) {
-            out.measured += s.measured;
-            out.total += s.total;
-        }
-        return out;
-    }
-
-    // DGIPPR, multi-shard: leader sets never depend on the duel
-    // winner, so pass A replays them alone (sequentially, in trace
-    // order) while recording when the winner changes; pass B replays
-    // follower shards in parallel, each cursor-walking the recorded
-    // timeline so any access at trace index j sees the winner after
-    // all leader updates at indices < j — the same value the
-    // single-pass engine would have used.
-    struct WinnerEvent
-    {
-        size_t index;
-        unsigned winner;
-    };
-    SoaCacheModel leader_model(spec, config);
-    std::vector<WinnerEvent> timeline;
-    bool leader_snapped = warmup == 0;
+    // One model replays the whole trace in order (for Dgippr this
+    // keeps leader updates and follower reads naturally interleaved,
+    // exactly like the scalar engine).
+    SoaCacheModel model(spec, config);
     for (size_t i = 0; i < trace.size(); ++i) {
+        if (i == warmup)
+            model.markWarmup();
         const MemRecord &r = trace[i];
-        const uint64_t set = leader_model.setIndex(r.addr);
-        if (leader_model.leaderOwner(set) == LeaderSets::kFollower)
-            continue;
-        if (!leader_snapped && i >= warmup) {
-            leader_model.markWarmup();
-            leader_snapped = true;
-        }
-        const unsigned before = leader_model.winner();
-        leader_model.access(set, leader_model.tagOf(r.addr),
-                            recordType(r));
-        if (leader_model.winner() != before)
-            timeline.push_back({i, leader_model.winner()});
+        model.accessAddr(r.addr, recordType(r));
     }
-    if (!leader_snapped)
-        leader_model.markWarmup();
-    ReplayStats out = leader_model.stats();
-
-    std::vector<ReplayStats> shard_stats(shards);
-    parallelFor(
-        shards, static_cast<unsigned>(shards), [&](size_t shard) {
-            SoaCacheModel model(spec, config,
-                                SoaCacheModel::DuelMode::Timeline);
-            size_t cursor = 0;
-            bool snapped = warmup == 0;
-            for (size_t i = 0; i < trace.size(); ++i) {
-                const MemRecord &r = trace[i];
-                const uint64_t set = model.setIndex(r.addr);
-                if (model.leaderOwner(set) != LeaderSets::kFollower)
-                    continue;
-                if (shardOf(set, shards, sets) != shard)
-                    continue;
-                while (cursor < timeline.size() &&
-                       timeline[cursor].index < i) {
-                    model.setWinner(timeline[cursor].winner);
-                    ++cursor;
-                }
-                if (!snapped && i >= warmup) {
-                    model.markWarmup();
-                    snapped = true;
-                }
-                model.access(set, model.tagOf(r.addr), recordType(r));
-            }
-            if (!snapped)
-                model.markWarmup();
-            shard_stats[shard] = model.stats();
-        });
-    for (const ReplayStats &s : shard_stats) {
-        out.measured += s.measured;
-        out.total += s.total;
-    }
-    return out;
+    if (warmup == trace.size())
+        model.markWarmup();
+    return model.stats();
 }
 
 std::vector<ReplayStats>
@@ -668,18 +550,14 @@ FastReplayEngine::replayMany(std::span<const ReplaySpec> specs,
 {
     GIPPR_CHECK(warmup <= trace.size());
     std::vector<ReplayStats> out(specs.size());
-    const uint64_t sets = config.sets();
-    const size_t shards = std::min<uint64_t>(shards_, sets);
 
     // Batch everything the packed model covers.  Unsupported specs
-    // fall back to the scalar reference and multi-shard Dgippr keeps
-    // replay()'s two-pass timeline scheme, both per spec, so any mix
-    // of specs yields the same results as per-spec replay().
+    // fall back to the scalar reference per spec, so any mix of specs
+    // yields the same results as per-spec replay().
     std::vector<size_t> batch;
     batch.reserve(specs.size());
     for (size_t s = 0; s < specs.size(); ++s) {
-        const bool duel = specs[s].kind == FastPolicyKind::Dgippr;
-        if (supports(specs[s], config) && !(duel && shards > 1))
+        if (supports(specs[s], config))
             batch.push_back(s);
         else
             out[s] = replay(specs[s], config, trace, warmup);
@@ -696,48 +574,23 @@ FastReplayEngine::replayMany(std::span<const ReplaySpec> specs,
         return out;
     }
 
-    if (shards == 1) {
-        std::vector<SoaCacheModel> models;
-        models.reserve(batch.size());
-        for (size_t s : batch)
-            models.emplace_back(specs[s], config);
-        replayBatch(models, trace, warmup, 0, 1, sets);
-        for (size_t m = 0; m < batch.size(); ++m)
-            out[batch[m]] = models[m].stats();
-        return out;
-    }
-
-    // Sharded batch: a shard × genome grid over disjoint set ranges,
-    // merged per genome with the usual deterministic counter sums.
-    std::vector<std::vector<ReplayStats>> grid(shards);
-    parallelFor(
-        shards, static_cast<unsigned>(shards), [&](size_t shard) {
-            std::vector<SoaCacheModel> models;
-            models.reserve(batch.size());
-            for (size_t s : batch)
-                models.emplace_back(specs[s], config);
-            replayBatch(models, trace, warmup, shard, shards, sets);
-            grid[shard].resize(batch.size());
-            for (size_t m = 0; m < batch.size(); ++m)
-                grid[shard][m] = models[m].stats();
-        });
-    for (size_t m = 0; m < batch.size(); ++m) {
-        ReplayStats &merged = out[batch[m]];
-        for (size_t shard = 0; shard < shards; ++shard) {
-            merged.measured += grid[shard][m].measured;
-            merged.total += grid[shard][m].total;
-        }
-    }
+    std::vector<SoaCacheModel> models;
+    models.reserve(batch.size());
+    for (size_t s : batch)
+        models.emplace_back(specs[s], config);
+    replayBatch(models, trace, warmup);
+    for (size_t m = 0; m < batch.size(); ++m)
+        out[batch[m]] = models[m].stats();
     return out;
 }
 
 std::unique_ptr<ReplayEngine>
-makeReplayEngine(const std::string &backend, unsigned shards)
+makeReplayEngine(const std::string &backend)
 {
     if (backend == "scalar")
         return std::make_unique<ScalarReplayEngine>();
     if (backend == "fast")
-        return std::make_unique<FastReplayEngine>(shards);
+        return std::make_unique<FastReplayEngine>();
     fatal("unknown replay backend '" + backend +
           "' (expected scalar or fast)");
 }
@@ -747,14 +600,7 @@ defaultReplayEngine()
 {
     static const std::unique_ptr<ReplayEngine> engine = [] {
         const char *backend_env = std::getenv("GIPPR_REPLAY_BACKEND");
-        const std::string backend = backend_env ? backend_env : "fast";
-        // Default to one shard: every production caller (GA fitness,
-        // the experiment harness) already parallelizes across traces,
-        // so nested sharding is opt-in via the environment.
-        unsigned shards = 1;
-        if (const char *s = std::getenv("GIPPR_REPLAY_SHARDS"))
-            shards = static_cast<unsigned>(std::strtoul(s, nullptr, 10));
-        return makeReplayEngine(backend, shards);
+        return makeReplayEngine(backend_env ? backend_env : "fast");
     }();
     return *engine;
 }

@@ -1,6 +1,6 @@
 /**
  * @file
- * Replay engines: scalar reference and sharded fast backend.
+ * Replay engines: scalar reference and packed fast backend.
  *
  * A ReplayEngine replays one LLC trace under one ReplaySpec and
  * returns ReplayStats.  Two implementations exist:
@@ -8,24 +8,15 @@
  *  - ScalarReplayEngine drives the production SetAssocCache +
  *    ReplacementPolicy objects (the pre-existing simulator) and is
  *    the semantic reference.
- *  - FastReplayEngine drives SoaCacheModel, optionally sharded: the
- *    set space is split into contiguous ranges and each shard
- *    filter-scans the trace for its own sets on a worker of the
- *    shared pool.  Per-set access streams are independent for every
- *    policy except DGIPPR's global duel state, which is handled with
- *    a two-pass scheme: pass A sequentially replays only the leader
- *    sets (whose behaviour never depends on the duel winner) and
- *    records a timeline of winner changes; pass B replays follower
- *    shards in parallel, each walking the timeline with a monotone
- *    cursor so every follower access sees exactly the winner the
- *    scalar engine would have used.  Counter merges are plain sums
- *    over disjoint set ranges, so results are bit-identical for any
- *    shard count.
+ *  - FastReplayEngine drives one SoaCacheModel over the trace in
+ *    order, so a DGIPPR duel sees leader updates and follower reads
+ *    interleaved exactly as the scalar engine does.  replayMany()
+ *    streams the trace once for a whole batch of specs.  Parallelism
+ *    comes from the callers, which run many (trace, spec) replays at
+ *    once.
  *
  * Backend selection: consumers default to defaultReplayEngine(),
- * which honours GIPPR_REPLAY_BACKEND (fast | scalar, default fast)
- * and GIPPR_REPLAY_SHARDS (default 1 — callers like the GA already
- * parallelize over traces, so nested sharding is opt-in).
+ * which honours GIPPR_REPLAY_BACKEND (fast | scalar, default fast).
  */
 
 #ifndef GIPPR_SIM_FASTPATH_ENGINE_HH_
@@ -123,13 +114,10 @@ class ScalarReplayEngine : public ReplayEngine
     std::string name() const override { return "scalar"; }
 };
 
-/** Packed structure-of-arrays backend, optionally sharded. */
+/** Packed structure-of-arrays backend. */
 class FastReplayEngine : public ReplayEngine
 {
   public:
-    /** @param shards set-space partitions (>= 1); 1 = no threading */
-    explicit FastReplayEngine(unsigned shards = 1);
-
     ReplayStats replay(const ReplaySpec &spec, const CacheConfig &config,
                        const TraceSource &trace,
                        size_t warmup) const override;
@@ -140,12 +128,9 @@ class FastReplayEngine : public ReplayEngine
      * time (set index, tag, access type) and then applied to every
      * spec's packed model back to back, so the models' tag/signature
      * rows and PLRU words stay hot while the shared decode work is
-     * paid once per generation instead of once per genome.  Composes
-     * with set-space sharding (a shard × genome grid over disjoint
-     * set ranges).  Unsupported specs fall back to scalar and
-     * multi-shard Dgippr keeps replay()'s two-pass timeline scheme,
-     * each per spec; results are bit-identical to per-spec replay()
-     * for any batch composition and shard count.
+     * paid once per generation instead of once per genome.
+     * Unsupported specs fall back to scalar per spec; results are
+     * bit-identical to per-spec replay() for any batch composition.
      */
     std::vector<ReplayStats>
     replayMany(std::span<const ReplaySpec> specs,
@@ -153,8 +138,6 @@ class FastReplayEngine : public ReplayEngine
                size_t warmup) const override;
 
     std::string name() const override { return "fast"; }
-
-    unsigned shards() const { return shards_; }
 
     /**
      * True when the fast path covers @p spec at @p config; otherwise
@@ -164,21 +147,16 @@ class FastReplayEngine : public ReplayEngine
                          const CacheConfig &config);
 
   private:
-    unsigned shards_;
     ScalarReplayEngine fallback_;
 };
 
-/**
- * Build an engine by name: "scalar" or "fast" (with @p shards; 0
- * means one shard per hardware thread).  Throws on unknown names.
- */
-std::unique_ptr<ReplayEngine> makeReplayEngine(const std::string &backend,
-                                               unsigned shards = 1);
+/** Build an engine by name: "scalar" or "fast".  Throws on unknown
+ *  names. */
+std::unique_ptr<ReplayEngine> makeReplayEngine(const std::string &backend);
 
 /**
- * The process-wide default engine, resolved once from the
- * environment: GIPPR_REPLAY_BACKEND (default "fast") and
- * GIPPR_REPLAY_SHARDS (default 1).
+ * The process-wide default engine, resolved once from
+ * GIPPR_REPLAY_BACKEND (default "fast").
  */
 const ReplayEngine &defaultReplayEngine();
 

@@ -92,12 +92,11 @@ SoaCacheModel::supports(const ReplaySpec &spec, const CacheConfig &config)
 }
 
 SoaCacheModel::SoaCacheModel(const ReplaySpec &spec,
-                             const CacheConfig &config, DuelMode mode)
+                             const CacheConfig &config)
     : sets_(config.sets()), assoc_(config.assoc),
       blockShift_(config.blockShift()), setShift_(config.setShift()),
       wayMask_(config.assoc == 64 ? ~uint64_t{0}
                                   : (uint64_t{1} << config.assoc) - 1),
-      mode_(mode),
       // Non-duel specs get degenerate dueling state (never consulted);
       // its PSEL width is the narrowest DuelCounter accepts (2 bits).
       leaders_(config.sets(),
@@ -243,14 +242,6 @@ SoaCacheModel::leaderOwner(uint64_t set) const
 }
 
 void
-SoaCacheModel::setWinner(unsigned w)
-{
-    GIPPR_DCHECK(duel_ && mode_ == DuelMode::Timeline);
-    GIPPR_DCHECK(w < promo_.size());
-    domain_.winner = w;
-}
-
-void
 SoaCacheModel::markWarmup(unsigned core)
 {
     coreWarmupBase_[core] = coreCounters_[core];
@@ -296,9 +287,7 @@ SoaCacheModel::statsOf(const CounterBank &counters,
 ReplayStats
 SoaCacheModel::stats() const
 {
-    return statsOf(counters_, warmupBase_,
-                   duel_ && mode_ == DuelMode::Live ? &domain_
-                                                    : nullptr);
+    return statsOf(counters_, warmupBase_, duel_ ? &domain_ : nullptr);
 }
 
 ReplayStats

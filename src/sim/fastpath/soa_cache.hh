@@ -160,14 +160,10 @@ struct TreeTables
 /**
  * Packed replica of SetAssocCache + one of the seven core policies.
  *
- * The model covers every set of the geometry but is oblivious to
- * which accesses it is fed; the replay engine shards a trace by
- * feeding each model only its slice of the set space.  For Dgippr
- * specs the duel winner is either maintained live (the model owns the
- * tournament selector and updates it on leader misses) or driven
- * externally via setWinner() from a pre-recorded winner timeline —
- * the mechanism that makes follower-set shards independent of each
- * other.
+ * The model covers every set of the geometry and is fed the trace in
+ * order.  For Dgippr specs it owns the tournament selector: leader-set
+ * misses update it and every follower set reads the current winner,
+ * the paper's one global duel.
  *
  * The same transition also serves as the multi-core shared LLC.  The
  * shared constructor gives the model N cores, each with its own
@@ -181,20 +177,12 @@ struct TreeTables
 class SoaCacheModel
 {
   public:
-    /** How Dgippr follower sets learn the duel winner. */
-    enum class DuelMode
-    {
-        Live,     ///< model updates the selector on leader misses
-        Timeline, ///< caller injects the winner via setWinner()
-    };
-
-    SoaCacheModel(const ReplaySpec &spec, const CacheConfig &config,
-                  DuelMode mode = DuelMode::Live);
+    SoaCacheModel(const ReplaySpec &spec, const CacheConfig &config);
 
     /**
-     * Shared LLC for @p cores cores (live duels).  Every core starts
-     * with the full way mask; under DuelScope::PerCore core c duels
-     * on the leader map rotated by c * kLeaderSetRotate sets.
+     * Shared LLC for @p cores cores.  Every core starts with the full
+     * way mask; under DuelScope::PerCore core c duels on the leader
+     * map rotated by c * kLeaderSetRotate sets.
      */
     SoaCacheModel(const ReplaySpec &spec, const CacheConfig &config,
                   unsigned cores, DuelScope scope);
@@ -355,9 +343,6 @@ class SoaCacheModel
             __builtin_prefetch(&tree_[set]);
     }
 
-    /** Timeline mode: winner for subsequent follower accesses. */
-    void setWinner(unsigned w);
-
     /** Current follower winner (Dgippr). */
     unsigned winner() const { return domain_.winner; }
 
@@ -369,7 +354,7 @@ class SoaCacheModel
     int leaderOwner(uint64_t set) const;
 
     /**
-     * Statistics so far; for live Dgippr models the duel fields
+     * Statistics so far; for Dgippr models the duel fields
      * (finalWinner, duelCounters, leaderMisses) are synced from the
      * selector.
      */
@@ -395,7 +380,7 @@ class SoaCacheModel
     bool validAt(uint64_t set, unsigned way) const;
     bool dirtyAt(uint64_t set, unsigned way) const;
 
-    /** Full shard-state rendering of one set (divergence dumps). */
+    /** Full state rendering of one set (divergence dumps). */
     std::string dumpSet(uint64_t set) const;
 
   private:
@@ -457,7 +442,6 @@ class SoaCacheModel
     // Policy.
     Family family_;
     bool duel_ = false;
-    DuelMode mode_;
     /** promo_[v][i] = new position on a hit at position i; one row
      *  per candidate vector. */
     std::vector<std::vector<uint8_t>> promo_;
@@ -794,7 +778,6 @@ SoaCacheModel::accessImpl(uint64_t set, uint64_t tag, AccessType type,
     if (duel_ && demand) {
         const int owner = domain.owners[set];
         if (owner != LeaderSets::kFollower) {
-            GIPPR_DCHECK(mode_ == DuelMode::Live);
             ++domain.leaderMisses[static_cast<unsigned>(owner)];
             domain.selector.recordMiss(static_cast<unsigned>(owner));
             domain.winner = domain.selector.winner();
@@ -942,7 +925,6 @@ SoaCacheModel::accessResolved16(uint64_t set, uint64_t tag,
     if (duel_ && demand && !hit) {
         const int owner = domain_.owners[set];
         if (owner != LeaderSets::kFollower) {
-            GIPPR_DCHECK(mode_ == DuelMode::Live);
             ++domain_.leaderMisses[static_cast<unsigned>(owner)];
             domain_.selector.recordMiss(static_cast<unsigned>(owner));
             domain_.winner = domain_.selector.winner();

@@ -210,7 +210,7 @@ runSharedLlc(const std::vector<CoreStream> &streams,
         // Solo baselines: the identical trace and warmup boundary
         // through the existing single-core engines, using the same
         // backend family so oracle runs stay backend-pure.
-        const fastpath::FastReplayEngine fast_engine(1);
+        const fastpath::FastReplayEngine fast_engine;
         const fastpath::ScalarReplayEngine scalar_engine;
         const fastpath::ReplayEngine &engine =
             params.backend == Backend::Fast
@@ -255,7 +255,7 @@ runSingleCoreReference(const CoreStream &stream,
     cr.measuredInstructions =
         measuredInstructionsOf(stream.instructions, length, warmup);
 
-    const fastpath::FastReplayEngine fast_engine(1);
+    const fastpath::FastReplayEngine fast_engine;
     const fastpath::ScalarReplayEngine scalar_engine;
     const fastpath::ReplayEngine &engine =
         params.backend == Backend::Fast

@@ -474,7 +474,7 @@ staticOracle(const std::vector<PolicyDef> &library,
              const CacheConfig &llc, const Trace &trace, size_t warmup,
              Backend backend)
 {
-    const fastpath::FastReplayEngine fast_engine(1);
+    const fastpath::FastReplayEngine fast_engine;
     const fastpath::ScalarReplayEngine scalar_engine;
     std::vector<StaticOracleRow> rows;
     rows.reserve(library.size());

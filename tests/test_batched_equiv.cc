@@ -4,7 +4,7 @@
  *
  * The batched kernel's contract is that batching is an implementation
  * detail: ReplayEngine::replayMany must return exactly what per-spec
- * replay() returns for any spec mix and shard count, and the
+ * replay() returns for any spec mix, and the
  * FitnessEvaluator batch API (evaluateAll / missesForAll) must return
  * exactly what per-genome evaluation returns at any batch width, with
  * the memo cache changing replay counts but never values.  On top of
@@ -170,9 +170,9 @@ TEST(BatchedEquiv, ReplayManyMatchesPerSpecReplay)
     const size_t warmup = trace.size() / 3;
 
     // A deliberately mixed batch: every core policy (including both
-    // DGIPPR variants) plus random per-genome vectors.  At 4 shards
-    // the duel specs take the per-spec fallback inside replayMany, so
-    // both partitions of the batch are exercised.
+    // DGIPPR variants) plus random per-genome vectors, so both access
+    // orders inside replayMany run: bucket-sorted for the non-duel
+    // models and trace order for the duel models.
     Rng rng(0x77);
     std::vector<fastpath::ReplaySpec> specs = {
         fastpath::lruSpec(),
@@ -189,19 +189,15 @@ TEST(BatchedEquiv, ReplayManyMatchesPerSpecReplay)
     }
 
     const fastpath::ScalarReplayEngine scalar;
-    for (unsigned shards : {1u, 4u}) {
-        const fastpath::FastReplayEngine fast(shards);
-        const std::vector<fastpath::ReplayStats> batched =
-            fast.replayMany(specs, cfg, trace, warmup);
-        ASSERT_EQ(batched.size(), specs.size());
-        for (size_t s = 0; s < specs.size(); ++s) {
-            EXPECT_EQ(batched[s],
-                      fast.replay(specs[s], cfg, trace, warmup))
-                << specs[s].name() << " at " << shards << " shards";
-            EXPECT_EQ(batched[s],
-                      scalar.replay(specs[s], cfg, trace, warmup))
-                << specs[s].name() << " vs scalar";
-        }
+    const fastpath::FastReplayEngine fast;
+    const std::vector<fastpath::ReplayStats> batched =
+        fast.replayMany(specs, cfg, trace, warmup);
+    ASSERT_EQ(batched.size(), specs.size());
+    for (size_t s = 0; s < specs.size(); ++s) {
+        EXPECT_EQ(batched[s], fast.replay(specs[s], cfg, trace, warmup))
+            << specs[s].name() << " vs per-spec replay";
+        EXPECT_EQ(batched[s], scalar.replay(specs[s], cfg, trace, warmup))
+            << specs[s].name() << " vs scalar";
     }
 
     // The default (base-class) implementation is the per-spec loop.
@@ -219,7 +215,7 @@ struct KernelGuard
     ~KernelGuard() { fastpath::setReplayKernel(saved); }
 };
 
-TEST(BatchedEquiv, EveryKernelWidthIsBitIdenticalAtEveryShardCount)
+TEST(BatchedEquiv, EveryKernelWidthIsBitIdentical)
 {
     const KernelGuard guard;
     const CacheConfig cfg = smallLlc();
@@ -252,17 +248,14 @@ TEST(BatchedEquiv, EveryKernelWidthIsBitIdenticalAtEveryShardCount)
           fastpath::ReplayKernel::Batch32}) {
         if (fastpath::setReplayKernel(k) != k)
             continue; // wider than this host; the clamp test covers it
-        for (unsigned shards : {1u, 2u, 4u, 16u}) {
-            const fastpath::FastReplayEngine fast(shards);
-            const std::vector<fastpath::ReplayStats> got =
-                fast.replayMany(specs, cfg, trace, warmup);
-            ASSERT_EQ(got.size(), want.size());
-            for (size_t s = 0; s < want.size(); ++s)
-                EXPECT_EQ(got[s], want[s])
-                    << specs[s].name() << " under "
-                    << fastpath::replayKernelName(k) << " at " << shards
-                    << " shards";
-        }
+        const fastpath::FastReplayEngine fast;
+        const std::vector<fastpath::ReplayStats> got =
+            fast.replayMany(specs, cfg, trace, warmup);
+        ASSERT_EQ(got.size(), want.size());
+        for (size_t s = 0; s < want.size(); ++s)
+            EXPECT_EQ(got[s], want[s])
+                << specs[s].name() << " under "
+                << fastpath::replayKernelName(k);
     }
 }
 

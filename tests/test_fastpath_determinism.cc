@@ -1,12 +1,10 @@
 /**
  * @file
- * Determinism tests for the sharded fast replay engine.
+ * Determinism tests for the fast replay engine.
  *
- * The engine's contract is that sharding is an implementation detail:
- * any shard count must produce bit-identical ReplayStats (counter
- * banks, duel counters, leader misses, final winner), and two runs
- * with the same seed must produce byte-identical RunReport artifacts
- * once the timestamp is pinned.
+ * Two runs with the same seed must produce byte-identical RunReport
+ * artifacts once the timestamp is pinned, and the engine factory must
+ * resolve every backend name.
  */
 
 #include <string>
@@ -75,14 +73,12 @@ mixedStream(uint64_t n, uint64_t seed, const CacheConfig &cfg)
 
 /** Deterministic RunReport built from one fast replay. */
 std::string
-reportFor(const Trace &trace, unsigned shards)
+reportFor(const Trace &trace)
 {
     const CacheConfig cfg = smallLlc();
     telemetry::RunReport report("bench", "determinism_probe");
     report.setTimestamp("2000-01-01T00:00:00Z");
-    report.setConfig("shards",
-                     telemetry::JsonValue(uint64_t{shards}));
-    const fastpath::FastReplayEngine engine(shards);
+    const fastpath::FastReplayEngine engine;
     telemetry::ResultTable table;
     table.title = "counters";
     table.metric = "count";
@@ -104,76 +100,16 @@ reportFor(const Trace &trace, unsigned shards)
 
 } // namespace
 
-TEST(FastpathDeterminism, ShardCountNeverChangesAnyCounter)
-{
-    const CacheConfig cfg = smallLlc();
-    const Trace trace = mixedStream(120'000, 0xd373, cfg);
-    const size_t warmup = trace.size() / 3;
-    for (const fastpath::ReplaySpec &spec : coreSpecs()) {
-        const fastpath::FastReplayEngine one(1);
-        const fastpath::ReplayStats want =
-            one.replay(spec, cfg, trace, warmup);
-        for (unsigned shards : {2u, 4u, 16u}) {
-            const fastpath::FastReplayEngine engine(shards);
-            const fastpath::ReplayStats got =
-                engine.replay(spec, cfg, trace, warmup);
-            EXPECT_EQ(want, got)
-                << spec.name() << " with " << shards << " shards:\n"
-                << want.toString() << "\nvs\n" << got.toString();
-        }
-    }
-}
-
-TEST(FastpathDeterminism, ShardCountBeyondSetsClamps)
-{
-    CacheConfig cfg;
-    cfg.sizeBytes = 16 * 1024; // 16 sets at 16 ways
-    cfg.assoc = 16;
-    cfg.blockBytes = 64;
-    const Trace trace = mixedStream(30'000, 0xc1a4, cfg);
-    const fastpath::FastReplayEngine one(1);
-    const fastpath::FastReplayEngine many(64); // > sets
-    for (const fastpath::ReplaySpec &spec : coreSpecs()) {
-        EXPECT_EQ(one.replay(spec, cfg, trace, 0),
-                  many.replay(spec, cfg, trace, 0))
-            << spec.name();
-    }
-}
-
 TEST(FastpathDeterminism, RepeatedRunsYieldByteIdenticalReports)
 {
     const Trace trace = mixedStream(60'000, 0x5eed, smallLlc());
-    const std::string first = reportFor(trace, 4);
-    const std::string second = reportFor(trace, 4);
-    EXPECT_EQ(first, second);
-    // And the artifact is shard-invariant, not merely run-invariant
-    // (the "shards" config key is the only allowed difference).
-    std::string one = reportFor(trace, 1);
-    std::string four = first;
-    const auto strip = [](std::string &s) {
-        const size_t at = s.find("\"shards\"");
-        ASSERT_NE(at, std::string::npos);
-        const size_t end = s.find('\n', at);
-        s.erase(at, end - at);
-    };
-    strip(one);
-    strip(four);
-    EXPECT_EQ(one, four);
+    EXPECT_EQ(reportFor(trace), reportFor(trace));
 }
 
 TEST(FastpathDeterminism, EngineFactoryResolvesBackends)
 {
     EXPECT_EQ(fastpath::makeReplayEngine("scalar")->name(), "scalar");
-    EXPECT_EQ(fastpath::makeReplayEngine("fast", 3)->name(), "fast");
-    auto fast = fastpath::makeReplayEngine("fast", 3);
-    EXPECT_EQ(
-        dynamic_cast<const fastpath::FastReplayEngine &>(*fast).shards(),
-        3u);
-    // shards == 0 resolves to the hardware concurrency (at least 1).
-    auto hw = fastpath::makeReplayEngine("fast", 0);
-    EXPECT_GE(
-        dynamic_cast<const fastpath::FastReplayEngine &>(*hw).shards(),
-        1u);
+    EXPECT_EQ(fastpath::makeReplayEngine("fast")->name(), "fast");
     EXPECT_THROW(fastpath::makeReplayEngine("simd"), std::runtime_error);
 }
 

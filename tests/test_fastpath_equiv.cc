@@ -12,7 +12,7 @@
  *     and, periodically, the full per-set recency state and duel
  *     winner.  The first divergence is dumped with both models' set
  *     state.
- *  3. The engines themselves (scalar, fast x1 shard, fast x4 shards)
+ *  3. The engines themselves (scalar and fast)
  *     must return identical ReplayStats — measured and total banks,
  *     duel counters, leader misses — for every core policy on suite
  *     workloads.
@@ -283,8 +283,7 @@ TEST(FastpathEquiv, EnginesAgreeOnSuiteWorkloads)
     }
 
     const fastpath::ScalarReplayEngine scalar;
-    const fastpath::FastReplayEngine fast1(1);
-    const fastpath::FastReplayEngine fast4(4);
+    const fastpath::FastReplayEngine fast;
 
     for (const std::string &name : names) {
         const Workload w = SyntheticSuite::materialize(suite.spec(name));
@@ -295,16 +294,11 @@ TEST(FastpathEquiv, EnginesAgreeOnSuiteWorkloads)
             for (const fastpath::ReplaySpec &spec : coreSpecs()) {
                 const fastpath::ReplayStats want =
                     scalar.replay(spec, hier.llc, llc, warmup);
-                const fastpath::ReplayStats got1 =
-                    fast1.replay(spec, hier.llc, llc, warmup);
-                const fastpath::ReplayStats got4 =
-                    fast4.replay(spec, hier.llc, llc, warmup);
-                EXPECT_EQ(want, got1)
-                    << name << "/" << spec.name() << " 1-shard:\n"
-                    << want.toString() << "\nvs\n" << got1.toString();
-                EXPECT_EQ(want, got4)
-                    << name << "/" << spec.name() << " 4-shard:\n"
-                    << want.toString() << "\nvs\n" << got4.toString();
+                const fastpath::ReplayStats got =
+                    fast.replay(spec, hier.llc, llc, warmup);
+                EXPECT_EQ(want, got)
+                    << name << "/" << spec.name() << ":\n"
+                    << want.toString() << "\nvs\n" << got.toString();
             }
         }
     }
@@ -317,7 +311,7 @@ TEST(FastpathEquiv, EnginesAgreeWithFullTraceWarmupEdge)
     const CacheConfig cfg = smallLlc();
     const Trace trace = randomStream(20'000, 0xed9e, cfg);
     const fastpath::ScalarReplayEngine scalar;
-    const fastpath::FastReplayEngine fast(4);
+    const fastpath::FastReplayEngine fast;
     for (const fastpath::ReplaySpec &spec : coreSpecs()) {
         for (size_t warmup : {size_t{0}, trace.size()}) {
             const fastpath::ReplayStats want =
@@ -344,7 +338,7 @@ TEST(FastpathEquiv, FastFallsBackForUnsupportedGeometry)
     EXPECT_FALSE(fastpath::FastReplayEngine::supports(spec, cfg));
     const Trace trace = randomStream(5'000, 0xfa11, cfg);
     const fastpath::ScalarReplayEngine scalar;
-    const fastpath::FastReplayEngine fast(2);
+    const fastpath::FastReplayEngine fast;
     EXPECT_THROW(scalar.replay(spec, cfg, trace, 1000),
                  std::invalid_argument);
     EXPECT_THROW(fast.replay(spec, cfg, trace, 1000),

@@ -359,7 +359,7 @@ TEST(MulticoreIdentity, SharedModelMatchesReplayEngine)
         static_cast<double>(streams[0].trace->size()) * (1.0 / 3.0));
 
     for (const auto &[name, spec] : allSpecs()) {
-        const fastpath::FastReplayEngine fast(1);
+        const fastpath::FastReplayEngine fast;
         const fastpath::ScalarReplayEngine scalar;
         const fastpath::ReplayStats fast_ref =
             fast.replay(spec, smallLlc(), *streams[0].trace, warmup);

@@ -271,7 +271,7 @@ TEST(TraceFuzz, MappedZeroLengthTraceStreamsZeroRecords)
     EXPECT_EQ(m.size(), 0u);
 
     const CacheConfig cfg = tinyLlc();
-    const fastpath::FastReplayEngine fast(2);
+    const fastpath::FastReplayEngine fast;
     const fastpath::ReplayStats stats =
         fast.replay(fastpath::gipprSpec(local_vectors::gippr()), cfg,
                     m, 0);
@@ -325,7 +325,7 @@ TEST(TraceFuzz, EmptyTraceReplaysToZeroStatsOnBothBackends)
     const Trace empty;
     const CacheConfig cfg = tinyLlc();
     const fastpath::ScalarReplayEngine scalar;
-    const fastpath::FastReplayEngine fast(4);
+    const fastpath::FastReplayEngine fast;
     for (const auto &spec :
          {fastpath::lruSpec(), fastpath::plruSpec(),
           fastpath::gipprSpec(local_vectors::gippr()),
@@ -390,7 +390,7 @@ TEST(TraceFuzz, DuplicateAndMaxAddressRecordsReplayIdentically)
     }
     const CacheConfig cfg = tinyLlc();
     const fastpath::ScalarReplayEngine scalar;
-    const fastpath::FastReplayEngine fast(4);
+    const fastpath::FastReplayEngine fast;
     for (const auto &spec :
          {fastpath::lruSpec(), fastpath::lipSpec(),
           fastpath::plruSpec(),
