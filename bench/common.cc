@@ -211,21 +211,8 @@ Session::setConfig(const std::string &key, telemetry::JsonValue value)
 }
 
 void
-applyKernelFlag(int argc, char **argv, Session &session)
+recordReplayKernel(Session &session)
 {
-    std::string requested;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--kernel" && i + 1 < argc)
-            requested = argv[i + 1];
-        else if (arg.rfind("--kernel=", 0) == 0)
-            requested = arg.substr(9);
-    }
-    if (!requested.empty()) {
-        fastpath::setReplayKernel(fastpath::parseReplayKernel(requested));
-        session.setConfig("replay_kernel_requested",
-                          telemetry::JsonValue(requested));
-    }
     session.setConfig(
         "replay_kernel",
         telemetry::JsonValue(std::string(fastpath::replayKernelName(

@@ -136,14 +136,11 @@ class Session
 };
 
 /**
- * Parse `--kernel <scalar|batch16|batch32>` (or `--kernel=...`) and
- * pin the batched replay dispatch width for the whole bench run;
- * records the requested name ("replay_kernel_requested") and the
- * clamped width that will actually dispatch ("replay_kernel") in the
- * session config so every artifact is attributable to a specific
- * code path.  Without the flag only the active width is recorded.
+ * Record the kernel batched replay dispatches on this build and host
+ * ("replay_kernel") in the session config, so every artifact is
+ * attributable to a specific code path.
  */
-void applyKernelFlag(int argc, char **argv, Session &session);
+void recordReplayKernel(Session &session);
 
 /** JSON view of a cache geometry (name/size/assoc/block). */
 telemetry::JsonValue toJson(const CacheConfig &cfg);

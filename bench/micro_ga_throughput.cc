@@ -59,7 +59,7 @@ main(int argc, char **argv)
     banner("micro_ga_throughput: per-genome vs batched GA evaluation",
            "fast replay engine (infrastructure, not a paper figure)");
 
-    applyKernelFlag(argc, argv, session);
+    recordReplayKernel(session);
 
     SyntheticSuite suite(suiteParams(scale));
     SystemParams sys = systemParams();

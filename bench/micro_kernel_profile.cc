@@ -1,19 +1,18 @@
 /**
  * @file
- * Microarchitectural profile of the batched replay kernels: for every
- * dispatch width (scalar / batch16 / batch32) and policy family, an
- * 8-genome replayMany() over the suite's LLC traces is bracketed with
- * hardware counters (perf_event_open: instructions, cycles, L1d/LLC
- * read misses) and wall clock, and the per-model-access attribution
- * lands in a "profile" RunReport.  On hosts without a PMU (most
- * containers and VMs) the counter columns read zero, the config block
- * says so (`perf_counters_available: false`), and the wall-clock
- * columns still stand — the artifact never silently mixes the two.
+ * Microarchitectural profile of the dispatched batched replay kernel:
+ * for each policy family, an 8-genome replayMany() over the suite's
+ * LLC traces is bracketed with hardware counters (perf_event_open:
+ * instructions, cycles, L1d/LLC read misses) and wall clock, and the
+ * per-model-access attribution lands in a "profile" RunReport.  On
+ * hosts without a PMU (most containers and VMs) the counter columns
+ * read zero, the config block says so (`perf_counters_available:
+ * false`), and the wall-clock columns still stand — the artifact
+ * never silently mixes the two.
  *
- * `--kernel <scalar|batch16|batch32>` restricts the sweep to one
- * width (the flag shared with the other micro benches); widths the
- * host cannot dispatch are reported as skipped rather than silently
- * re-measured on a narrower kernel.
+ * The kernel column is the one this build and CPU dispatch (batch32
+ * on AVX2 + BMI2 hosts).  The generic loop is measured by building
+ * with -DGIPPR_PORTABLE_KERNELS, which compiles batch32 out.
  */
 
 #include <chrono>
@@ -85,15 +84,7 @@ main(int argc, char **argv)
            "batched replay kernels (infrastructure, not a paper "
            "figure)");
 
-    // --kernel restricts the sweep; default profiles every width.
-    std::string only;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--kernel" && i + 1 < argc)
-            only = argv[i + 1];
-        else if (arg.rfind("--kernel=", 0) == 0)
-            only = arg.substr(9);
-    }
+    recordReplayKernel(session);
 
     SyntheticSuite suite(suiteParams(scale));
     SystemParams sys = systemParams();
@@ -112,8 +103,8 @@ main(int argc, char **argv)
     }
     // Every batched genome replays every record.
     const uint64_t model_accesses = total_accesses * kProfileBatch;
-    std::printf("profiling %llu model-accesses per (kernel, policy) "
-                "cell (%zu traces x %zu genomes)\n\n",
+    std::printf("profiling %llu model-accesses per policy "
+                "(%zu traces x %zu genomes)\n\n",
                 static_cast<unsigned long long>(model_accesses),
                 traces.size(), kProfileBatch);
     session.setConfig("trace_accesses",
@@ -135,57 +126,35 @@ main(int argc, char **argv)
         fastpath::plruSpec(),
         fastpath::gipprSpec(local_vectors::gippr()),
     };
-    const fastpath::ReplayKernel widths[] = {
-        fastpath::ReplayKernel::Scalar,
-        fastpath::ReplayKernel::Batch16,
-        fastpath::ReplayKernel::Batch32,
-    };
 
     const int reps = scale.quick ? 2 : 3;
     Table table({"kernel", "policy", "Macc_s", "inst_per_acc",
                  "cyc_per_acc", "l1d_mpka", "llc_mpka"});
-    for (fastpath::ReplayKernel k : widths) {
-        const std::string kname = fastpath::replayKernelName(k);
-        if (!only.empty() && only != kname)
-            continue;
-        if (fastpath::setReplayKernel(k) != k) {
-            std::printf("kernel %s: unsupported on this host, "
-                        "skipped\n",
-                        kname.c_str());
-            continue;
+    const std::string kname =
+        fastpath::replayKernelName(fastpath::activeReplayKernel());
+    for (const fastpath::ReplaySpec &spec : specs) {
+        // Best-of-N wall clock, with the counters of that rep.
+        Measurement best;
+        for (int r = 0; r < reps; ++r) {
+            const Measurement m =
+                onePass(pcs, fast, spec, sys.hier.llc, traces);
+            if (r == 0 || m.seconds < best.seconds)
+                best = m;
         }
-        for (const fastpath::ReplaySpec &spec : specs) {
-            // Best-of-N wall clock, with the counters of that rep.
-            Measurement best;
-            for (int r = 0; r < reps; ++r) {
-                const Measurement m =
-                    onePass(pcs, fast, spec, sys.hier.llc, traces);
-                if (r == 0 || m.seconds < best.seconds)
-                    best = m;
-            }
-            const double acc = static_cast<double>(model_accesses);
-            table.newRow()
-                .add(kname)
-                .add(spec.name())
-                .add(acc / 1e6 / best.seconds, 2)
-                .add(static_cast<double>(best.instructions) / acc, 2)
-                .add(static_cast<double>(best.cycles) / acc, 2)
-                .add(1000.0 * static_cast<double>(best.l1dMisses) /
-                         acc,
-                     1)
-                .add(1000.0 * static_cast<double>(best.llcMisses) /
-                         acc,
-                     1);
-        }
+        const double acc = static_cast<double>(model_accesses);
+        table.newRow()
+            .add(kname)
+            .add(spec.name())
+            .add(acc / 1e6 / best.seconds, 2)
+            .add(static_cast<double>(best.instructions) / acc, 2)
+            .add(static_cast<double>(best.cycles) / acc, 2)
+            .add(1000.0 * static_cast<double>(best.l1dMisses) / acc, 1)
+            .add(1000.0 * static_cast<double>(best.llcMisses) / acc, 1);
     }
-    // Leave the process on the widest kernel again (artifact config
-    // records what each row actually dispatched via the kernel
-    // column).
-    fastpath::setReplayKernel(fastpath::widestSupportedReplayKernel());
 
     emitTable(table, "kernel_profile");
     session.addTable("kernel_profile", "per_access_attribution", table);
-    note("inst/cyc per model-access attribute kernel-width gains to "
+    note("inst/cyc per model-access attribute kernel gains to "
          "retired work vs stalls; L1d/LLC misses-per-kiloaccess "
          "separate locality effects (bucketed set slices) from "
          "memory-bandwidth ones (chunk buffer re-streams)");

@@ -58,7 +58,7 @@ main(int argc, char **argv)
     banner("micro_replay_throughput: scalar vs fast replay backends",
            "fast replay engine (infrastructure, not a paper figure)");
 
-    applyKernelFlag(argc, argv, session);
+    recordReplayKernel(session);
 
     SyntheticSuite suite(suiteParams(scale));
     SystemParams sys = systemParams();

@@ -5,8 +5,6 @@
 
 #include "ga/fitness.hh"
 
-#include <cstdlib>
-
 #include "cache/cache.hh"
 #include "cache/replay.hh"
 #include "core/rrip_ipv.hh"
@@ -60,26 +58,6 @@ digestTrace(const FitnessTrace &t)
     return h;
 }
 
-/** GIPPR_GA_BATCH: genomes per batched trace stream (<= 1 disables). */
-unsigned
-envBatchWidth()
-{
-    if (const char *s = std::getenv("GIPPR_GA_BATCH")) {
-        const unsigned long v = std::strtoul(s, nullptr, 10);
-        return v == 0 ? 1u : static_cast<unsigned>(v);
-    }
-    return 32;
-}
-
-/** GIPPR_GA_MEMO: memo entries retained (0 disables the cache). */
-size_t
-envMemoCapacity()
-{
-    if (const char *s = std::getenv("GIPPR_GA_MEMO"))
-        return static_cast<size_t>(std::strtoull(s, nullptr, 10));
-    return size_t{1} << 16;
-}
-
 /** Fast-path spec for the stack/tree families. */
 fastpath::ReplaySpec
 specFor(const Ipv &ipv, IpvFamily family)
@@ -97,8 +75,7 @@ FitnessEvaluator::FitnessEvaluator(const CacheConfig &llc,
                                    telemetry::PhaseTimings *timings,
                                    const fastpath::ReplayEngine *engine)
     : llc_(llc), traces_(std::move(traces)), model_(model),
-      engine_(engine ? engine : &fastpath::defaultReplayEngine()),
-      batchWidth_(envBatchWidth()), memoCapacity_(envMemoCapacity())
+      engine_(engine ? engine : &fastpath::defaultReplayEngine())
 {
     if (traces_.empty())
         fatal("fitness evaluator needs at least one training trace");

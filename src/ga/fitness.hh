@@ -128,15 +128,15 @@ class FitnessEvaluator
                  unsigned threads = 0) const;
 
     /**
-     * Genomes replayed together per trace stream (default from
-     * GIPPR_GA_BATCH, 32; <= 1 restores per-genome replay).
+     * Genomes replayed together per trace stream (default 32; <= 1
+     * restores per-genome replay).
      */
     void setBatchWidth(unsigned genomes);
     unsigned batchWidth() const { return batchWidth_; }
 
     /**
      * Memo entries retained, each one vector's per-trace miss row
-     * (default from GIPPR_GA_MEMO, 65536; 0 disables memoization).
+     * (default 65536; 0 disables memoization).
      */
     void setMemoCapacity(size_t entries);
     size_t memoCapacity() const { return memoCapacity_; }
@@ -187,8 +187,8 @@ class FitnessEvaluator
     CpiModel model_;
     const fastpath::ReplayEngine *engine_;
     std::vector<uint64_t> lruMisses_;
-    unsigned batchWidth_;
-    size_t memoCapacity_;
+    unsigned batchWidth_ = 32;
+    size_t memoCapacity_ = size_t{1} << 16;
     uint64_t traceDigest_ = 0;
     /** Memoized per-trace miss rows, keyed by memoKey(). */
     mutable std::mutex memoMu_;

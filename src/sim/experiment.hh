@@ -56,8 +56,7 @@ struct ExperimentConfig
     telemetry::PhaseTimings *timings = nullptr;
     /**
      * Replay engine for miss experiments.  Policies with a fastSpec
-     * replay through it (backend per GIPPR_REPLAY_BACKEND when this is
-     * the default engine); policies without one always use the scalar
+     * replay through it; policies without one always use the scalar
      * simulator.  Null means defaultReplayEngine().
      */
     const fastpath::ReplayEngine *replayEngine = nullptr;

@@ -6,29 +6,17 @@
 #include "sim/fastpath/engine.hh"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 
 #include "cache/replay.hh"
 #include "core/dgippr.hh"
 #include "sim/fastpath/soa_cache.hh"
 #include "util/check.hh"
-#include "util/log.hh"
 
 namespace gippr::fastpath
 {
 
 namespace
 {
-
-/**
- * Requested dispatch width; -1 means "not resolved yet" and the
- * first activeReplayKernel() call reads GIPPR_REPLAY_KERNEL.  Kept
- * as a relaxed atomic so benches and tests can flip kernels between
- * (never during) replays without a data race against replays running
- * on pool workers.
- */
-std::atomic<int> g_kernel_request{-1};
 
 CounterBank
 toBank(const CacheStats &s)
@@ -124,40 +112,6 @@ localityBuckets(uint64_t sets, unsigned assoc, unsigned lanes)
     return static_cast<size_t>(
         std::clamp<uint64_t>(buckets, 1, std::min<uint64_t>(sets, 256)));
 }
-
-#if GIPPR_BATCH_KERNEL16
-/**
- * Chunk loop over the branch-free 16-way kernel.  Compiled with the
- * bmi2 target so accessBatched16 (and its pext) inlines; only called
- * when __builtin_cpu_supports("bmi2") at run time.
- */
-__attribute__((target("bmi2"))) void
-runChunk16(SoaCacheModel &m, const DecodedAccess *a, size_t n,
-           size_t steady)
-{
-    // Outcome counters accumulate in registers; accessBatched16
-    // leaves them to this loop (four memory RMWs saved per access).
-    uint64_t hits = 0, dmiss = 0, evic = 0, wb = 0;
-    for (size_t k = 0; k < steady; ++k) {
-        m.prefetchSet(a[k + kBatchPrefetch].set);
-        const SoaCacheModel::Step s =
-            m.accessBatched16(a[k].set, a[k].tag, a[k].type);
-        hits += s.hit;
-        dmiss += (a[k].type != AccessType::Writeback) & !s.hit;
-        evic += s.evicted;
-        wb += s.evictedDirty;
-    }
-    for (size_t k = steady; k < n; ++k) {
-        const SoaCacheModel::Step s =
-            m.accessBatched16(a[k].set, a[k].tag, a[k].type);
-        hits += s.hit;
-        dmiss += (a[k].type != AccessType::Writeback) & !s.hit;
-        evic += s.evicted;
-        wb += s.evictedDirty;
-    }
-    m.addOutcomeCounters(hits, dmiss, evic, wb);
-}
-#endif
 
 #if GIPPR_BATCH_KERNEL32
 /**
@@ -291,10 +245,9 @@ replayBatch(std::vector<SoaCacheModel> &models, const TraceSource &trace,
     std::vector<SoaCacheModel *> groups[2];
     for (SoaCacheModel &m : models)
         groups[m.isDuel() ? 1 : 0].push_back(&m);
-    [[maybe_unused]] const ReplayKernel kernel = activeReplayKernel();
-    [[maybe_unused]] const bool wide = geo.assoc() == 16;
-    const bool pairing = kernel == ReplayKernel::Batch32 && wide &&
-                         groups[0].size() >= 2;
+    const bool batch32 = activeReplayKernel() == ReplayKernel::Batch32 &&
+                         geo.assoc() == 16;
+    const bool pairing = batch32 && groups[0].size() >= 2;
     const bool quads = pairing && groups[0].size() >= 4;
     const size_t buckets = localityBuckets(sets, geo.assoc(),
                                            quads ? 4 : pairing ? 2 : 1);
@@ -347,7 +300,7 @@ replayBatch(std::vector<SoaCacheModel> &models, const TraceSource &trace,
             std::vector<SoaCacheModel *> &grp = groups[g];
             size_t m = 0;
 #if GIPPR_BATCH_KERNEL32
-            if (kernel == ReplayKernel::Batch32 && wide) {
+            if (batch32) {
                 for (; m + 3 < grp.size(); m += 4) {
                     runChunk32Quad(*grp[m], *grp[m + 1], *grp[m + 2],
                                    *grp[m + 3], a, n);
@@ -361,16 +314,8 @@ replayBatch(std::vector<SoaCacheModel> &models, const TraceSource &trace,
                 }
             }
 #endif
-#if GIPPR_BATCH_KERNEL16
-            if (kernel != ReplayKernel::Scalar && wide) {
-                // Batch16, plus the odd leftover model of a Batch32
-                // pass.
-                for (; m < grp.size(); ++m) {
-                    runChunk16(*grp[m], a, n, steady);
-                    grp[m]->addStreamCounters(n, demand);
-                }
-            }
-#endif
+            // The generic loop: every model at other associativities or
+            // without batch32, and the odd leftover of a quad/pair pass.
             for (; m < grp.size(); ++m) {
                 SoaCacheModel &mm = *grp[m];
                 for (size_t k = 0; k < steady; ++k) {
@@ -395,68 +340,17 @@ replayBatch(std::vector<SoaCacheModel> &models, const TraceSource &trace,
 const char *
 replayKernelName(ReplayKernel kernel)
 {
-    switch (kernel) {
-    case ReplayKernel::Scalar:
-        return "scalar";
-    case ReplayKernel::Batch16:
-        return "batch16";
-    case ReplayKernel::Batch32:
-        return "batch32";
-    }
-    return "scalar";
-}
-
-ReplayKernel
-parseReplayKernel(const std::string &name)
-{
-    if (name == "scalar")
-        return ReplayKernel::Scalar;
-    if (name == "batch16")
-        return ReplayKernel::Batch16;
-    if (name == "batch32")
-        return ReplayKernel::Batch32;
-    fatal("unknown replay kernel '" + name +
-          "' (expected scalar, batch16 or batch32)");
-}
-
-ReplayKernel
-widestSupportedReplayKernel()
-{
-#if GIPPR_BATCH_KERNEL32
-    if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("bmi2"))
-        return ReplayKernel::Batch32;
-#endif
-#if GIPPR_BATCH_KERNEL16
-    if (__builtin_cpu_supports("bmi2"))
-        return ReplayKernel::Batch16;
-#endif
-    return ReplayKernel::Scalar;
+    return kernel == ReplayKernel::Batch32 ? "batch32" : "scalar";
 }
 
 ReplayKernel
 activeReplayKernel()
 {
-    int req = g_kernel_request.load(std::memory_order_relaxed);
-    if (req < 0) {
-        ReplayKernel k = widestSupportedReplayKernel();
-        if (const char *e = std::getenv("GIPPR_REPLAY_KERNEL"))
-            k = parseReplayKernel(e);
-        req = static_cast<int>(k);
-        g_kernel_request.store(req, std::memory_order_relaxed);
-    }
-    const ReplayKernel want = static_cast<ReplayKernel>(req);
-    const ReplayKernel widest = widestSupportedReplayKernel();
-    return static_cast<uint8_t>(want) <= static_cast<uint8_t>(widest)
-               ? want
-               : widest;
-}
-
-ReplayKernel
-setReplayKernel(ReplayKernel kernel)
-{
-    g_kernel_request.store(static_cast<int>(kernel),
-                           std::memory_order_relaxed);
-    return activeReplayKernel();
+#if GIPPR_BATCH_KERNEL32
+    if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("bmi2"))
+        return ReplayKernel::Batch32;
+#endif
+    return ReplayKernel::Scalar;
 }
 
 std::vector<ReplayStats>
@@ -584,25 +478,11 @@ FastReplayEngine::replayMany(std::span<const ReplaySpec> specs,
     return out;
 }
 
-std::unique_ptr<ReplayEngine>
-makeReplayEngine(const std::string &backend)
-{
-    if (backend == "scalar")
-        return std::make_unique<ScalarReplayEngine>();
-    if (backend == "fast")
-        return std::make_unique<FastReplayEngine>();
-    fatal("unknown replay backend '" + backend +
-          "' (expected scalar or fast)");
-}
-
 const ReplayEngine &
 defaultReplayEngine()
 {
-    static const std::unique_ptr<ReplayEngine> engine = [] {
-        const char *backend_env = std::getenv("GIPPR_REPLAY_BACKEND");
-        return makeReplayEngine(backend_env ? backend_env : "fast");
-    }();
-    return *engine;
+    static const FastReplayEngine engine;
+    return engine;
 }
 
 } // namespace gippr::fastpath

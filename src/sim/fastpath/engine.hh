@@ -15,14 +15,13 @@
  *    comes from the callers, which run many (trace, spec) replays at
  *    once.
  *
- * Backend selection: consumers default to defaultReplayEngine(),
- * which honours GIPPR_REPLAY_BACKEND (fast | scalar, default fast).
+ * Consumers default to defaultReplayEngine(), the fast backend;
+ * tests and reference checks construct ScalarReplayEngine directly.
  */
 
 #ifndef GIPPR_SIM_FASTPATH_ENGINE_HH_
 #define GIPPR_SIM_FASTPATH_ENGINE_HH_
 
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -34,43 +33,26 @@ namespace gippr::fastpath
 {
 
 /**
- * Batched chunk kernels FastReplayEngine::replayMany can dispatch for
- * a (genome-group, set-range) pass.  Widths nest: Batch32 pairs two
- * genomes per AVX2 signature scan and finishes each through the
- * 16-way branch-free tail, Batch16 is the BMI2 single-genome kernel,
- * Scalar is the portable per-way loop.  All three are bit-identical.
+ * Batched chunk kernels FastReplayEngine::replayMany can dispatch.
+ * Batch32 pairs two genomes per AVX2 signature scan and finishes each
+ * through a 16-way branch-free tail; it runs groups of >= 2 models at
+ * 16 ways.  Scalar is the portable per-way loop that runs everything
+ * else.  Both are bit-identical to per-spec replay().
  */
 enum class ReplayKernel : uint8_t
 {
     Scalar = 0,
-    Batch16 = 1,
-    Batch32 = 2,
+    Batch32 = 1,
 };
 
-/** Kernel name as spelled by GIPPR_REPLAY_KERNEL ("scalar", ...). */
+/** Kernel name as reported in run configs ("scalar" or "batch32"). */
 const char *replayKernelName(ReplayKernel kernel);
 
-/** Parse "scalar" | "batch16" | "batch32"; throws on other input. */
-ReplayKernel parseReplayKernel(const std::string &name);
-
-/** Widest kernel this build + CPU can actually run. */
-ReplayKernel widestSupportedReplayKernel();
-
 /**
- * Kernel the batched replay path dispatches right now: the requested
- * width (GIPPR_REPLAY_KERNEL at first use, or the latest
- * setReplayKernel() call) clamped to widestSupportedReplayKernel().
- * Narrower requests are honoured exactly — that is what makes every
- * width independently testable on one host.
+ * Widest kernel this build and CPU can run; batched replay dispatches
+ * it wherever its geometry and group size apply.
  */
 ReplayKernel activeReplayKernel();
-
-/**
- * Request a dispatch width for subsequent batched replays (benches
- * and tests switch kernels in-process); returns the clamped width
- * that will actually run.
- */
-ReplayKernel setReplayKernel(ReplayKernel kernel);
 
 /** Replays traces under value-described policies. */
 class ReplayEngine
@@ -150,14 +132,7 @@ class FastReplayEngine : public ReplayEngine
     ScalarReplayEngine fallback_;
 };
 
-/** Build an engine by name: "scalar" or "fast".  Throws on unknown
- *  names. */
-std::unique_ptr<ReplayEngine> makeReplayEngine(const std::string &backend);
-
-/**
- * The process-wide default engine, resolved once from
- * GIPPR_REPLAY_BACKEND (default "fast").
- */
+/** The process-wide default engine (a FastReplayEngine). */
 const ReplayEngine &defaultReplayEngine();
 
 } // namespace gippr::fastpath

@@ -33,24 +33,22 @@
 #endif
 
 /**
- * The branch-free 16-way batch kernel uses BMI2 pext through a
- * per-function target attribute, so the library builds with baseline
+ * The 32-wide batch kernel uses AVX2 and BMI2 pext through
+ * per-function target attributes, so the library builds with baseline
  * flags and the replay engine selects the kernel at run time
- * (__builtin_cpu_supports).  Only compiled where the attribute and
- * the intrinsics exist.  The 32-wide kernel extends the same scheme
- * to AVX2: one VPCMPEQB resolves the signature scans of TWO genomes'
- * 16-byte rows (a 32-lane compare), so a genome pair shares each
- * decoded record and the loop carries two independent dependency
- * chains — compiled under the same guard, dispatched at run time.
+ * (__builtin_cpu_supports).  Only compiled where the attributes and
+ * the intrinsics exist.  One VPCMPEQB resolves the signature scans of
+ * TWO genomes' 16-byte rows (a 32-lane compare), so a genome pair
+ * shares each decoded record and the loop carries two independent
+ * dependency chains through the 16-way branch-free tail.
  *
- * -DGIPPR_PORTABLE_KERNELS compiles both batch kernels out even on
- * x86-64, so CI can prove the portable scalar path (the permanent
- * fallback for hosts without BMI2/AVX2) stays bit-identical without
+ * -DGIPPR_PORTABLE_KERNELS compiles the batch kernel out even on
+ * x86-64, so CI can prove the portable generic loop (the permanent
+ * path on hosts without BMI2/AVX2) stays bit-identical without
  * needing such a machine.
  */
 #if defined(__GNUC__) && defined(__x86_64__) && defined(__SSE2__) && \
     !defined(GIPPR_PORTABLE_KERNELS)
-#define GIPPR_BATCH_KERNEL16 1
 #define GIPPR_BATCH_KERNEL32 1
 #include <immintrin.h>
 #endif
@@ -220,40 +218,19 @@ class SoaCacheModel
         return accessImpl<true>(set, tag, type);
     }
 
-#if GIPPR_BATCH_KERNEL16
-    /**
-     * Branch-free variant of accessBatched() for 16-way geometries on
-     * BMI2 hardware (engine-internal; dispatched per chunk).  The
-     * hit/miss outcome is genome-private and effectively random, so
-     * the generic path eats a mispredict on most accesses; here the
-     * outcome is turned into data flow instead: the victim is
-     * computed unconditionally, the fill stores always run (on a hit
-     * they rewrite the values already present), and the replacement
-     * update selects between promotion, insertion, and identity
-     * deposits.  Tree-IPV promotions read the fused path-bit LUT
-     * (fusedPromo_) via pext in place of the reference position
-     * gather.  Bit-identical to access() by the same argument as the
-     * generic batched path; tests/test_batched_equiv.cc enforces it.
-     */
-    GIPPR_HOT
-    __attribute__((target("bmi2"), always_inline)) inline Step
-    accessBatched16(uint64_t set, uint64_t tag, AccessType type);
-#endif
-
 #if GIPPR_BATCH_KERNEL32
     /**
-     * 32-lane paired variant of accessBatched16() for AVX2 + BMI2
+     * Paired 16-way variant of accessBatched() for AVX2 + BMI2
      * hardware (engine-internal; dispatched per chunk): one 256-bit
      * VPCMPEQB compares @p a's and @p b's signature rows for @p set
      * against the broadcast tag byte — two 16-byte lanes, 32 byte
-     * lanes total — and each genome then finishes through the same
-     * branch-free tail as the 16-way kernel (accessResolved16).  The
-     * two models are independent, so the tails form two overlapping
-     * dependency chains and the decoded record is read once for the
-     * pair, halving the chunk-buffer re-stream traffic that bounds
-     * wide batched replay.  Bit-identical per model to access();
-     * tests/test_batched_equiv.cc enforces it for every kernel
-     * width.
+     * lanes total — and each genome then finishes through the
+     * branch-free tail (accessResolved16).  The two models are
+     * independent, so the tails form two overlapping dependency
+     * chains and the decoded record is read once for the pair,
+     * halving the chunk-buffer re-stream traffic that bounds wide
+     * batched replay.  Bit-identical per model to access();
+     * tests/test_batched_equiv.cc enforces it.
      */
     GIPPR_HOT
     __attribute__((target("avx2,bmi2"), always_inline)) static inline
@@ -272,7 +249,7 @@ class SoaCacheModel
     }
 
     /** Credit outcome counters accumulated in the chunk loop's
-     *  registers; pairs with accessBatched16(), which leaves them to
+     *  registers; pairs with accessBatched32(), which leaves them to
      *  the caller. */
     GIPPR_HOT void addOutcomeCounters(uint64_t hits,
                             uint64_t demand_misses,
@@ -418,11 +395,21 @@ class SoaCacheModel
                                const CounterBank &warmup_base,
                                const DuelDomain *domain);
     void moveTo(uint8_t *pos, unsigned way, unsigned to);
-#if GIPPR_BATCH_KERNEL16
+#if GIPPR_BATCH_KERNEL32
     void moveTo16(uint8_t *pos, unsigned way, unsigned to);
-    /** Branch-free tail shared by the 16- and 32-wide kernels:
-     *  everything after the signature scan, taking the raw 16-bit
-     *  signature-match mask (not yet masked with valid). */
+    /**
+     * Branch-free 16-way tail of accessBatched32(): everything after
+     * the signature scan, taking the raw 16-bit signature-match mask
+     * (not yet masked with valid).  The hit/miss outcome is
+     * genome-private and effectively random, so the generic path eats
+     * a mispredict on most accesses; here the outcome is turned into
+     * data flow instead: the victim is computed unconditionally, the
+     * fill stores always run (on a hit they rewrite the values
+     * already present), and the replacement update selects between
+     * promotion, insertion, and identity deposits.  Tree-IPV
+     * promotions read the fused path-bit LUT (fusedPromo_) via pext in
+     * place of the reference position gather.
+     */
     GIPPR_HOT
     __attribute__((target("bmi2"), always_inline)) inline Step
     accessResolved16(uint64_t set, uint64_t tag, AccessType type,
@@ -575,7 +562,7 @@ SoaCacheModel::moveTo(uint8_t *pos, unsigned way, unsigned to)
     pos[way] = static_cast<uint8_t>(to);
 }
 
-#if GIPPR_BATCH_KERNEL16
+#if GIPPR_BATCH_KERNEL32
 inline void
 SoaCacheModel::moveTo16(uint8_t *pos, unsigned way, unsigned to)
 {
@@ -851,21 +838,7 @@ SoaCacheModel::accessImpl(uint64_t set, uint64_t tag, AccessType type,
     return step;
 }
 
-#if GIPPR_BATCH_KERNEL16
-__attribute__((target("bmi2"))) inline SoaCacheModel::Step
-SoaCacheModel::accessBatched16(uint64_t set, uint64_t tag,
-                               AccessType type)
-{
-    // Signature scan; the branch-free remainder lives in the tail
-    // shared with the 32-wide paired kernel.
-    const __m128i row = _mm_loadu_si128(
-        reinterpret_cast<const __m128i *>(&sig_[set * 16]));
-    const unsigned sig_match =
-        static_cast<unsigned>(_mm_movemask_epi8(_mm_cmpeq_epi8(
-            row, _mm_set1_epi8(static_cast<char>(tag)))));
-    return accessResolved16(set, tag, type, sig_match);
-}
-
+#if GIPPR_BATCH_KERNEL32
 __attribute__((target("bmi2"))) inline SoaCacheModel::Step
 SoaCacheModel::accessResolved16(uint64_t set, uint64_t tag,
                                 AccessType type, unsigned sig_match)
@@ -985,9 +958,7 @@ SoaCacheModel::accessResolved16(uint64_t set, uint64_t tag,
     step.evictedTag = evict ? evicted_tag : 0;
     return step;
 }
-#endif
 
-#if GIPPR_BATCH_KERNEL32
 __attribute__((target("avx2,bmi2"))) inline void
 SoaCacheModel::accessBatched32(SoaCacheModel &a, SoaCacheModel &b,
                                uint64_t set, uint64_t tag,

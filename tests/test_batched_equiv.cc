@@ -22,7 +22,6 @@
 
 #include <cstdlib>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -208,107 +207,58 @@ TEST(BatchedEquiv, ReplayManyMatchesPerSpecReplay)
                   scalar.replay(specs[s], cfg, trace, warmup));
 }
 
-/** Restores the process-wide dispatch width a test pinned. */
-struct KernelGuard
+/**
+ * Seven non-duel and seven duel specs at @p ways ways, covering every
+ * family.  Under batch32 each group runs one quad, one pair and one
+ * leftover model through the generic loop.
+ */
+std::vector<fastpath::ReplaySpec>
+quadPairLeftoverMix(unsigned ways, uint64_t seed)
 {
-    fastpath::ReplayKernel saved = fastpath::activeReplayKernel();
-    ~KernelGuard() { fastpath::setReplayKernel(saved); }
-};
-
-TEST(BatchedEquiv, EveryKernelWidthIsBitIdentical)
-{
-    const KernelGuard guard;
-    const CacheConfig cfg = smallLlc();
-    const Trace trace = mixedStream(traceAccesses(), 0x32e0, cfg);
-    const size_t warmup = trace.size() / 3;
-
-    // Enough tree-IPV genomes that the 32-wide dispatch exercises the
-    // quad pass, the pair pass AND the batch16 leftover (4+2+1), plus
-    // every other family (recency, PLRU, duel) in the same batch.
-    Rng rng(0x320);
+    Rng rng(seed);
     std::vector<fastpath::ReplaySpec> specs = {
         fastpath::lruSpec(),
         fastpath::lipSpec(),
         fastpath::plruSpec(),
-        fastpath::dgipprSpec(local_vectors::dgippr2()),
     };
-    for (int i = 0; i < 4; ++i)
-        specs.push_back(fastpath::gipprSpec(randomIpv(16, rng)));
-    for (int i = 0; i < 3; ++i)
-        specs.push_back(fastpath::giplrSpec(randomIpv(16, rng)));
+    for (int i = 0; i < 2; ++i) {
+        specs.push_back(fastpath::gipprSpec(randomIpv(ways, rng)));
+        specs.push_back(fastpath::giplrSpec(randomIpv(ways, rng)));
+    }
+    for (unsigned d = 0; d < 7; ++d) {
+        std::vector<Ipv> ipvs;
+        for (unsigned v = 0; v < (d % 3 == 0 ? 4u : 2u); ++v)
+            ipvs.push_back(randomIpv(ways, rng));
+        specs.push_back(
+            fastpath::dgipprSpec(std::move(ipvs), d % 2 ? 4 : 8));
+    }
+    return specs;
+}
 
-    // Reference: the scalar object-based engine, one spec at a time.
+TEST(BatchedEquiv, EveryKernelWidthIsBitIdentical)
+{
+    // At 16 ways the dispatched kernel runs: batch32 where the host
+    // has AVX2 + BMI2, else the generic loop.  At 8 and 32 ways every
+    // model runs the generic loop on every host.
     const fastpath::ScalarReplayEngine scalar;
-    std::vector<fastpath::ReplayStats> want;
-    for (const fastpath::ReplaySpec &spec : specs)
-        want.push_back(scalar.replay(spec, cfg, trace, warmup));
-
-    for (fastpath::ReplayKernel k :
-         {fastpath::ReplayKernel::Scalar, fastpath::ReplayKernel::Batch16,
-          fastpath::ReplayKernel::Batch32}) {
-        if (fastpath::setReplayKernel(k) != k)
-            continue; // wider than this host; the clamp test covers it
-        const fastpath::FastReplayEngine fast;
+    const fastpath::FastReplayEngine fast;
+    const char *kernel =
+        fastpath::replayKernelName(fastpath::activeReplayKernel());
+    for (unsigned ways : {8u, 16u, 32u}) {
+        CacheConfig cfg = smallLlc();
+        cfg.assoc = ways;
+        cfg.sizeBytes = 64 * ways * cfg.blockBytes; // 64 sets
+        const Trace trace = mixedStream(traceAccesses(), 0x32e0 + ways, cfg);
+        const size_t warmup = trace.size() / 3;
+        const std::vector<fastpath::ReplaySpec> specs =
+            quadPairLeftoverMix(ways, 0x320 + ways);
         const std::vector<fastpath::ReplayStats> got =
             fast.replayMany(specs, cfg, trace, warmup);
-        ASSERT_EQ(got.size(), want.size());
-        for (size_t s = 0; s < want.size(); ++s)
-            EXPECT_EQ(got[s], want[s])
-                << specs[s].name() << " under "
-                << fastpath::replayKernelName(k);
-    }
-}
-
-TEST(BatchedEquiv, KernelRequestsClampToTheHostAndRoundTrip)
-{
-    const KernelGuard guard;
-    const fastpath::ReplayKernel widest =
-        fastpath::widestSupportedReplayKernel();
-
-    // Narrower requests are honoured exactly; wider ones clamp.
-    EXPECT_EQ(fastpath::setReplayKernel(fastpath::ReplayKernel::Scalar),
-              fastpath::ReplayKernel::Scalar);
-    EXPECT_EQ(fastpath::activeReplayKernel(),
-              fastpath::ReplayKernel::Scalar);
-    EXPECT_EQ(fastpath::setReplayKernel(fastpath::ReplayKernel::Batch32),
-              widest <= fastpath::ReplayKernel::Batch32
-                  ? widest
-                  : fastpath::ReplayKernel::Batch32);
-    EXPECT_LE(static_cast<int>(fastpath::activeReplayKernel()),
-              static_cast<int>(widest));
-
-    // Names round-trip through the GIPPR_REPLAY_KERNEL spelling.
-    for (fastpath::ReplayKernel k :
-         {fastpath::ReplayKernel::Scalar, fastpath::ReplayKernel::Batch16,
-          fastpath::ReplayKernel::Batch32})
-        EXPECT_EQ(fastpath::parseReplayKernel(
-                      fastpath::replayKernelName(k)),
-                  k);
-    EXPECT_THROW(fastpath::parseReplayKernel("batch64"),
-                 std::runtime_error);
-    EXPECT_THROW(fastpath::parseReplayKernel(""), std::runtime_error);
-}
-
-TEST(BatchedEquiv, EnvironmentOverrideSelectsTheDispatchWidth)
-{
-    // Each gtest case is its own ctest process, so the first
-    // activeReplayKernel() call in this test observes the lazy
-    // GIPPR_REPLAY_KERNEL read.  The fastpath-equiv CI job reruns the
-    // suite with the variable forced to each width; without it the
-    // default must be the widest kernel the host supports.
-    const char *env = std::getenv("GIPPR_REPLAY_KERNEL");
-    const fastpath::ReplayKernel active = fastpath::activeReplayKernel();
-    if (env) {
-        const fastpath::ReplayKernel want =
-            fastpath::parseReplayKernel(env);
-        const fastpath::ReplayKernel widest =
-            fastpath::widestSupportedReplayKernel();
-        EXPECT_EQ(active, static_cast<int>(want) <=
-                                  static_cast<int>(widest)
-                              ? want
-                              : widest);
-    } else {
-        EXPECT_EQ(active, fastpath::widestSupportedReplayKernel());
+        ASSERT_EQ(got.size(), specs.size());
+        for (size_t s = 0; s < specs.size(); ++s)
+            EXPECT_EQ(got[s], scalar.replay(specs[s], cfg, trace, warmup))
+                << specs[s].name() << " #" << s << " at " << ways
+                << " ways under " << kernel;
     }
 }
 

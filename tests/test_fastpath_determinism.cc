@@ -108,9 +108,9 @@ TEST(FastpathDeterminism, RepeatedRunsYieldByteIdenticalReports)
 
 TEST(FastpathDeterminism, EngineFactoryResolvesBackends)
 {
-    EXPECT_EQ(fastpath::makeReplayEngine("scalar")->name(), "scalar");
-    EXPECT_EQ(fastpath::makeReplayEngine("fast")->name(), "fast");
-    EXPECT_THROW(fastpath::makeReplayEngine("simd"), std::runtime_error);
+    EXPECT_EQ(fastpath::ScalarReplayEngine().name(), "scalar");
+    EXPECT_EQ(fastpath::FastReplayEngine().name(), "fast");
+    EXPECT_EQ(fastpath::defaultReplayEngine().name(), "fast");
 }
 
 } // namespace gippr

@@ -52,15 +52,13 @@ DETERMINISM_ALLOW = {
     "src/telemetry/report.cc",  # wall-clock run timestamps
 }
 
-# getenv is legal only at these audited config-knob sites: they steer
-# pacing, batching, backend selection, and fault injection — never a
-# seed, an ordering, or a reported result.
+# getenv is legal only at these audited fault/fallback hooks, which CI
+# or tests set: they steer the trace loader, fault injection and retry
+# pacing — never a seed, an ordering, or a reported result.
 GETENV_ALLOW = {
     "src/trace/trace_io.cc",        # GIPPR_TRACE_MMAP loader switch
-    "src/ga/fitness.cc",            # GIPPR_GA_BATCH / GIPPR_GA_MEMO
     "src/robust/fault_inject.cc",   # GIPPR_FAULT_INJECT test hook
     "src/robust/atomic_io.cc",      # GIPPR_IO_RETRY_BASE_MS pacing
-    "src/sim/fastpath/engine.cc",   # GIPPR_REPLAY_BACKEND / _KERNEL
 }
 
 DETERMINISM_RE = re.compile(
